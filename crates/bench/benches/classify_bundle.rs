@@ -34,6 +34,7 @@ fn bench_classify(c: &mut Criterion) {
             let f = space.extract(&cas, model);
             kb.insert(b.part_id.clone(), b.error_code.clone().unwrap(), f);
         }
+        let idx = SealedIndex::build(&kb);
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
         let test: Vec<_> = corpus.bundles.iter().take(25).collect();
         group.bench_with_input(
@@ -45,7 +46,7 @@ fn bench_classify(c: &mut Criterion) {
                         let mut cas = b.to_cas(SourceSelection::Test);
                         pipeline.process(&mut cas).unwrap();
                         let f = space.extract(&cas, model);
-                        black_box(knn.rank(&kb, &b.part_id, &f).len());
+                        black_box(knn.rank(&kb, &idx, &b.part_id, &f).len());
                     }
                 })
             },
@@ -54,7 +55,7 @@ fn bench_classify(c: &mut Criterion) {
     group.finish();
 }
 
-/// The posting-list accumulation kernel against the per-candidate
+/// The sealed posting-arena kernel against the per-candidate
 /// re-intersection path it replaced, and the parallel batch API against a
 /// sequential loop — text processing factored out so only ranking is timed.
 fn bench_rank_paths(c: &mut Criterion) {
@@ -73,6 +74,7 @@ fn bench_rank_paths(c: &mut Criterion) {
         let f = space.extract(&cas, model);
         kb.insert(b.part_id.clone(), b.error_code.clone().unwrap(), f);
     }
+    let idx = SealedIndex::build(&kb);
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
     let test: Vec<(String, FeatureSet)> = corpus
         .bundles
@@ -99,7 +101,7 @@ fn bench_rank_paths(c: &mut Criterion) {
             let mut scratch = ScoreScratch::new();
             for q in &queries {
                 black_box(
-                    knn.rank_with(&kb, q.part_id, q.features, &mut scratch)
+                    knn.rank_with(&kb, &idx, q.part_id, q.features, &mut scratch)
                         .len(),
                 );
             }
@@ -113,7 +115,7 @@ fn bench_rank_paths(c: &mut Criterion) {
         })
     });
     group.bench_function("batch-parallel", |b| {
-        b.iter(|| black_box(knn.classify_batch(&kb, &queries).len()))
+        b.iter(|| black_box(knn.classify_batch(&kb, &idx, &queries).len()))
     });
     group.finish();
 }

@@ -10,7 +10,8 @@
 //!   observability-overhead estimate on classify_batch (must stay < 5%);
 //! * **scale** (`--scale 100k|1m`): the synthetic scale tiers of DESIGN.md
 //!   §11 — build the tier's knowledge base, seal it into the compressed
-//!   segment + LSH index, and measure `rank_<tier>` (LSH-pruned),
+//!   segment, build an LSH index over it, and measure `rank_<tier>`
+//!   (LSH-pruned),
 //!   `rank_<tier>_exact` (full posting-list kernel over the sealed arena)
 //!   and `suggest_<tier>` (eight threads sharing the sealed snapshot,
 //!   pruned path). The 1m tier *asserts* the headline numbers: pruned
@@ -84,8 +85,13 @@ const RECALL_QUERIES: usize = 256;
 /// median of several independent passes, since a single pass still swings a
 /// few percent either way on a busy host. Returns the overhead in percent
 /// (negative = noise).
-fn measure_obs_overhead(knn: &RankedKnn, kb: &KnowledgeBase, queries: &[BatchQuery<'_>]) -> f64 {
-    fn one_pass(knn: &RankedKnn, kb: &KnowledgeBase, queries: &[BatchQuery<'_>]) -> f64 {
+fn measure_obs_overhead(
+    knn: &RankedKnn,
+    kb: &KnowledgeBase,
+    idx: &SealedIndex,
+    queries: &[BatchQuery<'_>],
+) -> f64 {
+    let one_pass = || -> f64 {
         let rounds = 24;
         // several batch calls per sample: one call is ~100µs dominated by
         // worker spawn/join jitter, so each timed sample amortizes it
@@ -96,7 +102,7 @@ fn measure_obs_overhead(knn: &RankedKnn, kb: &KnowledgeBase, queries: &[BatchQue
             qatk_obs::set_enabled(i % 2 == 0);
             let t = Instant::now();
             for _ in 0..calls_per_sample {
-                std::hint::black_box(knn.classify_batch(kb, queries));
+                std::hint::black_box(knn.classify_batch(kb, idx, queries));
             }
             let ns = t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             if i % 2 == 0 {
@@ -108,8 +114,8 @@ fn measure_obs_overhead(knn: &RankedKnn, kb: &KnowledgeBase, queries: &[BatchQue
         let on = *on.iter().min().expect("rounds > 0") as f64;
         let off = *off.iter().min().expect("rounds > 0") as f64;
         (on - off) / off * 100.0
-    }
-    let mut estimates: Vec<f64> = (0..7).map(|_| one_pass(knn, kb, queries)).collect();
+    };
+    let mut estimates: Vec<f64> = (0..7).map(|_| one_pass()).collect();
     qatk_obs::set_enabled(true);
     estimates.sort_by(|a, b| a.total_cmp(b));
     estimates[estimates.len() / 2]
@@ -176,6 +182,8 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
             space.extract(&cas, FeatureModel::BagOfConcepts),
         );
     }
+    // the serving kernel: the sealed index a snapshot seal builds
+    let idx = SealedIndex::build(&kb);
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
 
     let probe_bundles: Vec<_> = corpus.bundles.iter().take(120).collect();
@@ -200,13 +208,13 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
 
     eprintln!("benchmarking classify_batch ...");
     benches.push(bench("classify_batch", queries.len() as u64, 3, 30, || {
-        std::hint::black_box(knn.classify_batch(&kb, &queries));
+        std::hint::black_box(knn.classify_batch(&kb, &idx, &queries));
     }));
 
     eprintln!("benchmarking rank kernel ...");
     let (q0, f0) = (&probe_bundles[0], &features[0]);
     benches.push(bench("rank", 1, 50, 200, || {
-        std::hint::black_box(knn.rank(&kb, &q0.part_id, f0));
+        std::hint::black_box(knn.rank(&kb, &idx, &q0.part_id, f0));
     }));
 
     eprintln!("benchmarking suggest_concurrent (8 threads, shared snapshot) ...");
@@ -345,7 +353,7 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
     let _ = std::fs::remove_file(&fsync_path);
 
     eprintln!("measuring observability overhead on classify_batch ...");
-    let obs_overhead_pct = measure_obs_overhead(&knn, &kb, &queries);
+    let obs_overhead_pct = measure_obs_overhead(&knn, &kb, &idx, &queries);
     eprintln!("observability overhead: {obs_overhead_pct:+.2}% (limit {MAX_OBS_OVERHEAD_PCT}%)");
     if obs_overhead_pct > MAX_OBS_OVERHEAD_PCT {
         return Err(format!(
@@ -355,7 +363,7 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
 
     eprintln!("measuring tracing overhead on the rank kernel (no root span) ...");
     let trace_rank_pct = measure_trace_overhead(|| {
-        std::hint::black_box(knn.rank(&kb, &q0.part_id, f0));
+        std::hint::black_box(knn.rank(&kb, &idx, &q0.part_id, f0));
     });
     eprintln!("tracing overhead (rank): {trace_rank_pct:+.2}% (limit {MAX_TRACE_OVERHEAD_PCT}%)");
 
@@ -522,14 +530,21 @@ fn run_scale(tier: ScaleTier, seed: u64) -> Result<Vec<BenchResult>, String> {
     }
     eprintln!("  {:.1}s, {} nodes", t.elapsed().as_secs_f64(), kb.len());
 
-    eprintln!("sealing segment (posting arena + LSH) ...");
+    eprintln!("sealing segment (posting arena) ...");
     let t = Instant::now();
     let idx = SealedIndex::build(&kb);
     eprintln!(
-        "  {:.1}s, {:.1} MB arena, {:.1}M lsh entries",
+        "  {:.1}s, {:.1} MB arena",
         t.elapsed().as_secs_f64(),
-        idx.postings().arena_bytes() as f64 / 1e6,
-        idx.lsh().n_entries() as f64 / 1e6
+        idx.postings().arena_bytes() as f64 / 1e6
+    );
+    eprintln!("building LSH prefilter ...");
+    let t = Instant::now();
+    let lsh = LshIndex::from_kb(&kb);
+    eprintln!(
+        "  {:.1}s, {:.1}M lsh entries",
+        t.elapsed().as_secs_f64(),
+        lsh.n_entries() as f64 / 1e6
     );
 
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
@@ -552,8 +567,8 @@ fn run_scale(tier: ScaleTier, seed: u64) -> Result<Vec<BenchResult>, String> {
     };
     let (mut overlap, mut total) = (0usize, 0usize);
     for (part, f) in &queries {
-        let exact = top_codes(&knn.rank_sealed(&idx, &kb, part, f));
-        let pruned = top_codes(&knn.rank_sealed_pruned(&idx, &kb, part, f));
+        let exact = top_codes(&knn.rank(&kb, &idx, part, f));
+        let pruned = top_codes(&knn.rank_sealed_pruned(&kb, &idx, &lsh, part, f));
         overlap += exact.iter().filter(|c| pruned.contains(c)).count();
         total += exact.len();
     }
@@ -571,13 +586,13 @@ fn run_scale(tier: ScaleTier, seed: u64) -> Result<Vec<BenchResult>, String> {
     eprintln!("benchmarking rank_{label} (LSH-pruned) ...");
     benches.push(bench(&format!("rank_{label}"), n, 1, 5, || {
         for (part, f) in &queries {
-            std::hint::black_box(knn.rank_sealed_pruned(&idx, &kb, part, f));
+            std::hint::black_box(knn.rank_sealed_pruned(&kb, &idx, &lsh, part, f));
         }
     }));
     eprintln!("benchmarking rank_{label}_exact ...");
     benches.push(bench(&format!("rank_{label}_exact"), n, 1, 3, || {
         for (part, f) in &queries {
-            std::hint::black_box(knn.rank_sealed(&idx, &kb, part, f));
+            std::hint::black_box(knn.rank(&kb, &idx, part, f));
         }
     }));
 
@@ -586,10 +601,10 @@ fn run_scale(tier: ScaleTier, seed: u64) -> Result<Vec<BenchResult>, String> {
     benches.push(bench(&format!("suggest_{label}"), n, 1, 5, || {
         std::thread::scope(|scope| {
             for chunk in queries.chunks(queries.len().div_ceil(THREADS)) {
-                let (knn, idx, kb) = (&knn, &idx, &kb);
+                let (knn, idx, lsh, kb) = (&knn, &idx, &lsh, &kb);
                 scope.spawn(move || {
                     for (part, f) in chunk {
-                        std::hint::black_box(knn.rank_sealed_pruned(idx, kb, part, f));
+                        std::hint::black_box(knn.rank_sealed_pruned(kb, idx, lsh, part, f));
                     }
                 });
             }

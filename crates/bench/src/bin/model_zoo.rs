@@ -248,6 +248,8 @@ fn bench_families(
             features: f,
         })
         .collect();
+    // kNN ranks on the sealed index, as it does when serving
+    let idx = SealedIndex::build(kb);
     let mut benches = Vec::new();
     for family in ClassifierFamily::ALL {
         let t = Instant::now();
@@ -260,7 +262,7 @@ fn bench_families(
         );
         let name = format!("zoo_rank{tag}_{}", family.label().replace('-', "_"));
         benches.push(bench(&name, refs.len() as u64, 1, samples, || {
-            std::hint::black_box(ranker.rank_batch(kb, None, &refs));
+            std::hint::black_box(ranker.rank_batch(kb, Some(&idx), &refs));
         }));
     }
     benches

@@ -8,13 +8,21 @@
 //! This sidesteps standard kNN's sensitivity to local data structures
 //! (Fig. 6) because no single k decides the answer.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::features::FeatureSet;
-use crate::knowledge::{KnowledgeBase, ScoreScratch};
-use crate::segment::SealedIndex;
+use crate::knowledge::KnowledgeBase;
+use crate::lsh::LshIndex;
+use crate::segment::{ScoreScratch, SealedIndex};
 use crate::similarity::SimilarityMeasure;
+
+thread_local! {
+    /// Per-thread scratch behind [`RankedKnn::rank`] and
+    /// [`RankedKnn::rank_sealed_pruned`].
+    static SCRATCH: RefCell<ScoreScratch> = RefCell::new(ScoreScratch::new());
+}
 
 /// One recommendation: an error code with its best similarity score.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,35 +101,36 @@ impl RankedKnn {
     /// wins), in descending score order. Ties break on code text so results
     /// are deterministic.
     ///
-    /// Implementation: the posting-list score-accumulation kernel — one walk
-    /// of the inverted index accumulates |A ∩ B| per candidate node, scores
-    /// come from the counts ([`SimilarityMeasure::score_from_counts`]), and
-    /// a bounded binary heap selects the `top_nodes` best without sorting
-    /// all candidates. Produces rankings identical to [`RankedKnn::rank_naive`]
-    /// (asserted exhaustively by the `ranking_equivalence` differential
-    /// suite). Scratch state lives in a thread-local, so `rank` is `&self`,
+    /// Implementation: the score-accumulation kernel over `idx`, the sealed
+    /// posting arena of `kb` — one walk of the query features' posting lists
+    /// accumulates |A ∩ B| per candidate node, scores come from the counts
+    /// ([`SimilarityMeasure::score_from_counts`]), and a bounded binary heap
+    /// selects the `top_nodes` best without sorting all candidates. The
+    /// knowledge base supplies the strings (part lookup, code emission);
+    /// node indexes agree between the two by construction. Produces
+    /// rankings identical to [`RankedKnn::rank_naive`] (asserted by the
+    /// `ranking_equivalence` and `segment_props` differential suites).
+    /// Scratch state lives in a thread-local, so `rank` is `&self`,
     /// allocation-free after each thread's first query, and safe to call
-    /// from any number of threads sharing one knowledge base. Batch workers
-    /// that want explicit control pass their own scratch to
-    /// [`RankedKnn::rank_with`] or go through [`RankedKnn::classify_batch`].
+    /// from any number of threads sharing one index. Batch workers that want
+    /// explicit control pass their own scratch to [`RankedKnn::rank_with`]
+    /// or go through [`RankedKnn::classify_batch`].
     pub fn rank(
         &self,
         kb: &KnowledgeBase,
+        idx: &SealedIndex,
         part_id: &str,
         features: &FeatureSet,
     ) -> Vec<ScoredCode> {
-        thread_local! {
-            static RANK_SCRATCH: std::cell::RefCell<ScoreScratch> =
-                std::cell::RefCell::new(ScoreScratch::new());
-        }
-        RANK_SCRATCH.with(|s| self.rank_with(kb, part_id, features, &mut s.borrow_mut()))
+        SCRATCH.with(|s| self.rank_with(kb, idx, part_id, features, &mut s.borrow_mut()))
     }
 
     /// [`RankedKnn::rank`] with caller-provided scratch state, for hot loops
-    /// that classify many bundles against the same knowledge base.
+    /// that classify many bundles against the same index.
     pub fn rank_with(
         &self,
         kb: &KnowledgeBase,
+        idx: &SealedIndex,
         part_id: &str,
         features: &FeatureSet,
         scratch: &mut ScoreScratch,
@@ -132,178 +141,102 @@ impl RankedKnn {
         // and candidate-count distributions are sampled (counters stay exact)
         let sampled = m.rank_sample.hit();
         let _span = sampled.then(|| qatk_obs::Timer::start(m.rank_latency_ns));
-        kb.accumulate_counts(part_id, features, scratch);
-        if sampled {
-            m.rank_candidates.record(scratch.touched().len() as u64);
-        }
-        let top = if scratch.touched().is_empty() {
-            m.classifier_skipped_total.inc();
-            if kb.has_part(part_id) {
-                // known part, no shared feature → no candidates at all
-                Vec::new()
-            } else {
-                // unknown part with zero overlap anywhere: the paper's
-                // fallback selects the entire knowledge base; every score is
-                // 0, so the naive (score desc, index asc) order is simply
-                // the first `top_nodes` nodes
-                (0..kb.len().min(self.top_nodes))
-                    .map(|i| (0.0f64, i))
-                    .collect()
-            }
-        } else {
-            self.select_top_nodes(features.len(), scratch, |n| {
-                kb.nodes()[n as usize].features.len()
-            })
-        };
-        Self::emit_codes(kb, top)
-    }
-
-    /// [`RankedKnn::rank`] over a [`SealedIndex`] segment: identical
-    /// semantics and bit-identical results, but the score accumulation walks
-    /// the delta+varint-compressed posting arena instead of the live
-    /// `HashMap` inverted index. The knowledge base supplies the strings
-    /// (part lookup, code emission); node indexes agree between the two
-    /// structures by construction.
-    pub fn rank_sealed(
-        &self,
-        idx: &SealedIndex,
-        kb: &KnowledgeBase,
-        part_id: &str,
-        features: &FeatureSet,
-    ) -> Vec<ScoredCode> {
-        thread_local! {
-            static SEALED_SCRATCH: std::cell::RefCell<ScoreScratch> =
-                std::cell::RefCell::new(ScoreScratch::new());
-        }
-        SEALED_SCRATCH
-            .with(|s| self.rank_sealed_with(idx, kb, part_id, features, &mut s.borrow_mut()))
-    }
-
-    /// [`RankedKnn::rank_sealed`] with caller-provided scratch state.
-    pub fn rank_sealed_with(
-        &self,
-        idx: &SealedIndex,
-        kb: &KnowledgeBase,
-        part_id: &str,
-        features: &FeatureSet,
-        scratch: &mut ScoreScratch,
-    ) -> Vec<ScoredCode> {
-        let m = crate::metrics::metrics();
-        m.rank_queries_total.inc();
-        let sampled = m.rank_sample.hit();
-        let _span = sampled.then(|| qatk_obs::Timer::start(m.rank_latency_ns));
         idx.accumulate_into(kb.part_index(part_id), features, scratch);
         if sampled {
             m.rank_candidates.record(scratch.touched().len() as u64);
         }
-        let top = if scratch.touched().is_empty() {
+        if scratch.touched().is_empty() {
             m.classifier_skipped_total.inc();
+            // a known part sharing no feature has no candidates at all; an
+            // unknown part with zero overlap anywhere gets the paper's
+            // whole-KB fallback
             if kb.has_part(part_id) {
-                Vec::new()
-            } else {
-                // unknown-part whole-KB fallback, same as `rank_with`
-                (0..kb.len().min(self.top_nodes))
-                    .map(|i| (0.0f64, i))
-                    .collect()
+                return Vec::new();
             }
-        } else {
-            self.select_top_nodes(features.len(), scratch, |n| idx.node_len(n))
-        };
+            return unknown_part_fallback(kb, self.top_nodes);
+        }
+        let top = self.select_top_nodes(features.len(), scratch, idx);
         Self::emit_codes(kb, top)
     }
 
     /// The LSH-pruned ranking path: instead of walking every posting list of
-    /// every query feature, ask the sealed segment's minhash/LSH prefilter
-    /// for candidate nodes and score only those — exactly (each candidate's
-    /// true |A ∩ B| via a feature-set merge), so a candidate's score and
+    /// every query feature, ask `lsh` — a prefilter the caller built over
+    /// `kb`'s nodes in node order (see [`LshIndex::from_kb`]) — for
+    /// candidate nodes and score only those, exactly (each candidate's true
+    /// |A ∩ B| via a feature-set merge), so a candidate's score and
     /// tie-break are identical to the exact path's. The approximation is
     /// purely in *which* nodes are considered: a true neighbour the LSH
     /// misses cannot be ranked. `tests/lsh_recall.rs` holds this path to
-    /// ≥ 95 % top-25 recall against [`RankedKnn::rank_sealed`] as the
-    /// differential oracle.
+    /// ≥ 95 % top-25 recall against [`RankedKnn::rank`] as the differential
+    /// oracle. No serving path uses it.
     ///
-    /// Unknown parts and empty feature sets delegate to the exact path: the
-    /// paper's whole-knowledge-base fallback has nothing to prune, and the
-    /// exact kernel is already cheap in those cases.
+    /// Unknown parts, empty feature sets and a zero cut-off delegate to the
+    /// exact path: the paper's whole-knowledge-base fallback has nothing to
+    /// prune, and the exact kernel is already cheap in those cases.
     pub fn rank_sealed_pruned(
         &self,
-        idx: &SealedIndex,
         kb: &KnowledgeBase,
+        idx: &SealedIndex,
+        lsh: &LshIndex,
         part_id: &str,
         features: &FeatureSet,
     ) -> Vec<ScoredCode> {
-        thread_local! {
-            static PRUNED_SCRATCH: std::cell::RefCell<ScoreScratch> =
-                std::cell::RefCell::new(ScoreScratch::new());
-        }
-        PRUNED_SCRATCH
-            .with(|s| self.rank_sealed_pruned_with(idx, kb, part_id, features, &mut s.borrow_mut()))
-    }
-
-    /// [`RankedKnn::rank_sealed_pruned`] with caller-provided scratch state.
-    pub fn rank_sealed_pruned_with(
-        &self,
-        idx: &SealedIndex,
-        kb: &KnowledgeBase,
-        part_id: &str,
-        features: &FeatureSet,
-        scratch: &mut ScoreScratch,
-    ) -> Vec<ScoredCode> {
-        let Some(part) = kb.part_index(part_id) else {
-            return self.rank_sealed_with(idx, kb, part_id, features, scratch);
+        let part = match kb.part_index(part_id) {
+            Some(part) if !features.is_empty() && self.top_nodes > 0 => part,
+            _ => return self.rank(kb, idx, part_id, features),
         };
-        if features.is_empty() {
-            return self.rank_sealed_with(idx, kb, part_id, features, scratch);
-        }
         let m = crate::metrics::metrics();
         m.rank_queries_total.inc();
         m.rank_pruned_total.inc();
         let sampled = m.rank_sample.hit();
         let _span = sampled.then(|| qatk_obs::Timer::start(m.rank_latency_ns));
-        idx.lsh_candidates_into(Some(part), features, scratch);
-        if sampled {
-            m.lsh_candidates.record(scratch.touched().len() as u64);
-        }
-        if scratch.touched().is_empty() {
-            m.classifier_skipped_total.inc();
-            return Vec::new();
-        }
-        // exact re-scoring of the pruned candidates — scratch counts are
-        // band collisions here, NOT intersections, so the true |A ∩ B| comes
-        // from a feature-set merge per candidate
-        let k = self.top_nodes;
-        if k == 0 {
-            return Vec::new();
-        }
-        let a_len = features.len();
-        let mut heap: BinaryHeap<std::cmp::Reverse<HeapEntry>> = BinaryHeap::with_capacity(k + 1);
-        for &n in scratch.touched() {
-            let node = &kb.nodes()[n as usize];
-            let inter = features.intersection_size(&node.features);
-            if inter == 0 {
-                // an LSH false positive with zero overlap could never be a
-                // candidate on the exact path; keep the score sets aligned
-                continue;
+        let top = SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            scratch.begin(idx.n_nodes());
+            lsh.for_each_candidate(features.ids(), |node| {
+                if idx.node_part(node) == part {
+                    scratch.bump(node);
+                }
+            });
+            if sampled {
+                m.lsh_candidates.record(scratch.touched().len() as u64);
             }
-            let score = self
-                .measure
-                .score_from_counts(inter, a_len, node.features.len());
-            Self::heap_offer(&mut heap, k, HeapEntry { score, idx: n });
+            // exact re-scoring of the pruned candidates — scratch counts are
+            // band collisions here, NOT intersections, so the true |A ∩ B|
+            // comes from a feature-set merge per candidate
+            let k = self.top_nodes;
+            let mut heap: BinaryHeap<std::cmp::Reverse<HeapEntry>> =
+                BinaryHeap::with_capacity(k + 1);
+            for &n in scratch.touched() {
+                let node = &kb.nodes()[n as usize];
+                let inter = features.intersection_size(&node.features);
+                if inter == 0 {
+                    // an LSH false positive with zero overlap could never be
+                    // a candidate on the exact path; keep the score sets
+                    // aligned
+                    continue;
+                }
+                let score =
+                    self.measure
+                        .score_from_counts(inter, features.len(), node.features.len());
+                Self::heap_offer(&mut heap, k, HeapEntry { score, idx: n });
+            }
+            Self::heap_into_sorted(heap)
+        });
+        if top.is_empty() {
+            m.classifier_skipped_total.inc();
         }
-        let top = Self::heap_into_sorted(heap);
         Self::emit_codes(kb, top)
     }
 
     /// Bounded-heap top-k over the accumulated counts: keeps the `top_nodes`
     /// best (score desc, node index asc) without sorting all candidates.
-    /// `b_len` supplies each node's feature-set cardinality — the only
-    /// per-node fact the scorer needs, so both the live knowledge base and
-    /// the sealed segment can drive it.
+    /// Each node's feature-set cardinality comes from `idx`.
     fn select_top_nodes(
         &self,
         a_len: usize,
         scratch: &ScoreScratch,
-        b_len: impl Fn(u32) -> usize,
+        idx: &SealedIndex,
     ) -> Vec<(f64, usize)> {
         let k = self.top_nodes;
         if k == 0 {
@@ -312,9 +245,9 @@ impl RankedKnn {
         // min-heap of the k best so far: the root is the worst kept entry
         let mut heap: BinaryHeap<std::cmp::Reverse<HeapEntry>> = BinaryHeap::with_capacity(k + 1);
         for &n in scratch.touched() {
-            let score = self
-                .measure
-                .score_from_counts(scratch.count(n) as usize, a_len, b_len(n));
+            let score =
+                self.measure
+                    .score_from_counts(scratch.count(n) as usize, a_len, idx.node_len(n));
             Self::heap_offer(&mut heap, k, HeapEntry { score, idx: n });
         }
         Self::heap_into_sorted(heap)
@@ -365,11 +298,12 @@ impl RankedKnn {
     }
 
     /// The original per-candidate set-intersection path: candidate selection
-    /// via [`KnowledgeBase::candidates`], then a full re-intersection of
-    /// every candidate's feature set, a full sort, and truncation. Kept as
-    /// the differential oracle for [`RankedKnn::rank`] and as the baseline
-    /// side of the `classify_bundle` / `candidate` benches — not used on any
-    /// production path.
+    /// by scanning the nodes ([`KnowledgeBase::candidates`]), then a full
+    /// re-intersection of every candidate's feature set, a full sort, and
+    /// truncation. It reads no index, which makes it the differential oracle
+    /// for [`RankedKnn::rank`] and the baseline side of the
+    /// `classify_bundle` bench — not used on any production path. The only
+    /// kNN ranking that needs no [`SealedIndex`].
     pub fn rank_naive(
         &self,
         kb: &KnowledgeBase,
@@ -408,24 +342,26 @@ impl RankedKnn {
 
     /// Classify a batch of bundles in parallel: queries fan out across
     /// scoped worker threads, each with its own [`ScoreScratch`], against
-    /// the shared (read-only) knowledge base. Output order matches query
-    /// order and every ranking is identical to a sequential
+    /// the shared (read-only) knowledge base and index. Output order matches
+    /// query order and every ranking is identical to a sequential
     /// [`RankedKnn::rank`] call, whatever the thread count.
     pub fn classify_batch(
         &self,
         kb: &KnowledgeBase,
+        idx: &SealedIndex,
         queries: &[BatchQuery<'_>],
     ) -> Vec<Vec<ScoredCode>> {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        self.classify_batch_with_threads(kb, queries, threads)
+        self.classify_batch_with_threads(kb, idx, queries, threads)
     }
 
     /// [`RankedKnn::classify_batch`] with an explicit worker-thread cap.
     pub fn classify_batch_with_threads(
         &self,
         kb: &KnowledgeBase,
+        idx: &SealedIndex,
         queries: &[BatchQuery<'_>],
         threads: usize,
     ) -> Vec<Vec<ScoredCode>> {
@@ -440,7 +376,7 @@ impl RankedKnn {
             let mut scratch = ScoreScratch::new();
             return queries
                 .iter()
-                .map(|q| self.rank_with(kb, q.part_id, q.features, &mut scratch))
+                .map(|q| self.rank_with(kb, idx, q.part_id, q.features, &mut scratch))
                 .collect();
         }
         let mut out: Vec<Vec<ScoredCode>> = Vec::new();
@@ -453,7 +389,7 @@ impl RankedKnn {
                     let _busy = qatk_obs::Timer::start(m.batch_worker_busy_ns);
                     let mut scratch = ScoreScratch::new();
                     for (q, slot) in qchunk.iter().zip(ochunk.iter_mut()) {
-                        *slot = self.rank_with(kb, q.part_id, q.features, &mut scratch);
+                        *slot = self.rank_with(kb, idx, q.part_id, q.features, &mut scratch);
                     }
                 });
             }
@@ -466,6 +402,23 @@ impl RankedKnn {
     pub fn rank_of(&self, ranked: &[ScoredCode], truth: &str) -> Option<usize> {
         ranked.iter().position(|s| s.code == truth)
     }
+}
+
+/// The paper's unknown-part fallback, shared by every ranking family:
+/// "select the entire knowledge base" — with all scores 0 the node order is
+/// simply the first `top_nodes` nodes, deduplicated to codes in code order.
+pub(crate) fn unknown_part_fallback(kb: &KnowledgeBase, top_nodes: usize) -> Vec<ScoredCode> {
+    let mut out: Vec<ScoredCode> = Vec::new();
+    for node in kb.nodes().iter().take(top_nodes) {
+        if !out.iter().any(|s| s.code == node.error_code) {
+            out.push(ScoredCode {
+                code: node.error_code.clone(),
+                score: 0.0,
+            });
+        }
+    }
+    out.sort_by(|a, b| a.code.cmp(&b.code));
+    out
 }
 
 /// The *standard* unweighted instance-based kNN of paper Fig. 6 — majority
@@ -556,6 +509,11 @@ mod tests {
         FeatureSet::from_unsorted(ids.to_vec())
     }
 
+    /// [`RankedKnn::rank`] over a freshly sealed index of `kb`.
+    fn rank(knn: &RankedKnn, kb: &KnowledgeBase, part: &str, q: &FeatureSet) -> Vec<ScoredCode> {
+        knn.rank(kb, &SealedIndex::build(kb), part, q)
+    }
+
     fn kb() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
         kb.insert("P-01", "E100", fs(&[1, 2, 3]));
@@ -569,7 +527,7 @@ mod tests {
     #[test]
     fn ranks_by_similarity() {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb(), "P-01", &fs(&[1, 2, 3]));
+        let ranked = rank(&knn, &kb(), "P-01", &fs(&[1, 2, 3]));
         // E100 node [1,2,3] scores 1.0; E200 scores 3/6; E300 shares nothing
         assert_eq!(ranked[0].code, "E100");
         assert!((ranked[0].score - 1.0).abs() < 1e-12);
@@ -581,7 +539,7 @@ mod tests {
     #[test]
     fn codes_deduplicated_with_best_score() {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb(), "P-01", &fs(&[2, 3]));
+        let ranked = rank(&knn, &kb(), "P-01", &fs(&[2, 3]));
         // Two E100 nodes match; the exact [2,3] one scores 1.0
         let e100 = ranked.iter().find(|s| s.code == "E100").unwrap();
         assert!((e100.score - 1.0).abs() < 1e-12);
@@ -591,7 +549,7 @@ mod tests {
     #[test]
     fn respects_part_filter() {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb(), "P-01", &fs(&[1, 2, 3]));
+        let ranked = rank(&knn, &kb(), "P-01", &fs(&[1, 2, 3]));
         assert!(ranked.iter().all(|s| s.code != "E900"));
     }
 
@@ -605,7 +563,7 @@ mod tests {
             top_nodes: 25,
             measure: SimilarityMeasure::Jaccard,
         };
-        let ranked = knn.rank(&kb, "P-01", &fs(&[1]));
+        let ranked = rank(&knn, &kb, "P-01", &fs(&[1]));
         assert_eq!(ranked.len(), 25);
     }
 
@@ -623,7 +581,7 @@ mod tests {
             top_nodes: 2,
             measure: SimilarityMeasure::Jaccard,
         };
-        let ranked = knn.rank(&kb, "P", &fs(&[1, 2, 3]));
+        let ranked = rank(&knn, &kb, "P", &fs(&[1, 2, 3]));
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].code, "EAAA");
         // the surviving code carries the best of its nodes' scores
@@ -638,7 +596,7 @@ mod tests {
         kb.insert("P", "EA", fs(&[1, 6])); // 0.5 — ties with EC
         kb.insert("P", "EB", fs(&[1])); // 1.0
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb, "P", &fs(&[1]));
+        let ranked = rank(&knn, &kb, "P", &fs(&[1]));
         let codes: Vec<&str> = ranked.iter().map(|s| s.code.as_str()).collect();
         assert_eq!(codes, ["EB", "EA", "EC", "ED"]);
         for w in ranked.windows(2) {
@@ -649,10 +607,10 @@ mod tests {
     #[test]
     fn empty_feature_query_yields_empty_ranking_for_known_part() {
         let knn = RankedKnn::default();
-        let ranked = knn.rank(&kb(), "P-01", &FeatureSet::default());
+        let ranked = rank(&knn, &kb(), "P-01", &FeatureSet::default());
         assert!(ranked.is_empty());
         // … but an unknown part still gets the whole-KB fallback, scored 0
-        let fallback = knn.rank(&kb(), "P-??", &FeatureSet::default());
+        let fallback = rank(&knn, &kb(), "P-??", &FeatureSet::default());
         assert!(!fallback.is_empty());
         assert!(fallback.iter().all(|s| s.score == 0.0));
     }
@@ -660,6 +618,7 @@ mod tests {
     #[test]
     fn batch_results_independent_of_thread_count() {
         let kb = kb();
+        let idx = SealedIndex::build(&kb);
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
         let queries_owned = [
             ("P-01", fs(&[1, 2, 3])),
@@ -677,14 +636,14 @@ mod tests {
             .collect();
         let expected: Vec<Vec<ScoredCode>> = queries
             .iter()
-            .map(|q| knn.rank(&kb, q.part_id, q.features))
+            .map(|q| knn.rank_naive(&kb, q.part_id, q.features))
             .collect();
         for threads in [1, 2, 3, 8] {
-            let got = knn.classify_batch_with_threads(&kb, &queries, threads);
+            let got = knn.classify_batch_with_threads(&kb, &idx, &queries, threads);
             assert_eq!(got, expected, "divergence at {threads} threads");
         }
-        assert_eq!(knn.classify_batch(&kb, &queries), expected);
-        assert!(knn.classify_batch(&kb, &[]).is_empty());
+        assert_eq!(knn.classify_batch(&kb, &idx, &queries), expected);
+        assert!(knn.classify_batch(&kb, &idx, &[]).is_empty());
     }
 
     #[test]
@@ -694,9 +653,9 @@ mod tests {
         kb.insert("P-01", "BIG", fs(&[1, 2, 3, 4, 5, 6, 7, 8]));
         let q = fs(&[1, 2, 9]);
         // Jaccard penalizes the big set less than overlap rewards small sets
-        let j = RankedKnn::new(SimilarityMeasure::Jaccard).rank(&kb, "P-01", &q);
+        let j = rank(&RankedKnn::new(SimilarityMeasure::Jaccard), &kb, "P-01", &q);
         assert_eq!(j[0].code, "SMALL"); // 2/3 vs 2/9
-        let o = RankedKnn::new(SimilarityMeasure::Overlap).rank(&kb, "P-01", &q);
+        let o = rank(&RankedKnn::new(SimilarityMeasure::Overlap), &kb, "P-01", &q);
         assert_eq!(o[0].code, "SMALL"); // 2/2 vs 2/3
         assert!((o[0].score - 1.0).abs() < 1e-12);
     }
@@ -707,7 +666,7 @@ mod tests {
         kb.insert("P-01", "EB", fs(&[1]));
         kb.insert("P-01", "EA", fs(&[1]));
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb, "P-01", &fs(&[1]));
+        let ranked = rank(&knn, &kb, "P-01", &fs(&[1]));
         // equal scores → code-lexicographic order
         assert_eq!(ranked[0].code, "EA");
         assert_eq!(ranked[1].code, "EB");
@@ -716,7 +675,7 @@ mod tests {
     #[test]
     fn rank_of_helper() {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb(), "P-01", &fs(&[1, 2, 3]));
+        let ranked = rank(&knn, &kb(), "P-01", &fs(&[1, 2, 3]));
         assert_eq!(knn.rank_of(&ranked, "E100"), Some(0));
         assert_eq!(knn.rank_of(&ranked, "E200"), Some(1));
         assert_eq!(knn.rank_of(&ranked, "E999"), None);
@@ -741,7 +700,7 @@ mod tests {
         let wide = MajorityVoteKnn::new(6, SimilarityMeasure::Jaccard);
         assert_eq!(wide.classify(&kb, "P", &q).as_deref(), Some("B"));
         // the ranked list puts A first regardless of any k choice
-        let ranked = RankedKnn::new(SimilarityMeasure::Jaccard).rank(&kb, "P", &q);
+        let ranked = rank(&RankedKnn::new(SimilarityMeasure::Jaccard), &kb, "P", &q);
         assert_eq!(ranked[0].code, "A");
     }
 
@@ -818,12 +777,12 @@ mod tests {
         let skipped_before = m.classifier_skipped_total.get();
         let queries_before = m.rank_queries_total.get();
         // 1: known part, empty features → early return, no candidates
-        assert!(knn.rank(&kb, "P-01", &FeatureSet::default()).is_empty());
+        assert!(rank(&knn, &kb, "P-01", &FeatureSet::default()).is_empty());
         // 2: known part, zero overlap → early return
-        assert!(knn.rank(&kb, "P-01", &fs(&[777])).is_empty());
+        assert!(rank(&knn, &kb, "P-01", &fs(&[777])).is_empty());
         // 3: unknown part, zero overlap anywhere → whole-KB fallback, no
         //    kernel work — still an early return for the accumulator
-        assert!(!knn.rank(&kb, "P-??", &fs(&[777])).is_empty());
+        assert!(!rank(&knn, &kb, "P-??", &fs(&[777])).is_empty());
         // 4: majority vote with empty features → None without voting
         assert_eq!(vote.classify(&kb, "P-01", &FeatureSet::default()), None);
         // 5: majority vote on an empty knowledge base
@@ -840,13 +799,13 @@ mod tests {
         // normal queries still land in the query counter (and produce
         // results, i.e. they did not take the early-return path)
         let queries_mid = m.rank_queries_total.get();
-        assert!(!knn.rank(&kb, "P-01", &fs(&[1, 2, 3])).is_empty());
+        assert!(!rank(&knn, &kb, "P-01", &fs(&[1, 2, 3])).is_empty());
         assert!(vote.classify(&kb, "P-01", &fs(&[1, 2, 3])).is_some());
         assert!(m.rank_queries_total.get() >= queries_mid + 2);
     }
 
     #[test]
-    fn rank_sealed_matches_rank_everywhere() {
+    fn rank_matches_rank_naive_everywhere() {
         let kb = kb();
         let idx = SealedIndex::build(&kb);
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
@@ -862,9 +821,9 @@ mod tests {
         ];
         for (part, q) in &queries {
             assert_eq!(
-                knn.rank_sealed(&idx, &kb, part, q),
-                knn.rank(&kb, part, q),
-                "sealed/live divergence for {part}"
+                knn.rank(&kb, &idx, part, q),
+                knn.rank_naive(&kb, part, q),
+                "kernel/oracle divergence for {part}"
             );
         }
     }
@@ -889,11 +848,12 @@ mod tests {
             );
         }
         let idx = SealedIndex::build(&kb);
+        let lsh = LshIndex::from_kb(&kb);
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
         // query = a near-copy of code E003's bundles
         let q = fs(&(0..12).map(|k| 150 + k + 1).collect::<Vec<_>>());
-        let exact = knn.rank_sealed(&idx, &kb, "P-01", &q);
-        let pruned = knn.rank_sealed_pruned(&idx, &kb, "P-01", &q);
+        let exact = knn.rank(&kb, &idx, "P-01", &q);
+        let pruned = knn.rank_sealed_pruned(&kb, &idx, &lsh, "P-01", &q);
         assert_eq!(exact[0].code, "E003");
         assert_eq!(pruned[0].code, "E003");
         assert_eq!(pruned[0].score, exact[0].score);
@@ -902,23 +862,27 @@ mod tests {
             let e = exact.iter().find(|e| e.code == s.code).expect("in exact");
             assert_eq!(s.score, e.score);
         }
-        // unknown part / empty features delegate to the exact fallbacks
-        assert_eq!(
-            knn.rank_sealed_pruned(&idx, &kb, "P-??", &fs(&[9999])),
-            knn.rank(&kb, "P-??", &fs(&[9999]))
-        );
-        assert_eq!(
-            knn.rank_sealed_pruned(&idx, &kb, "P-01", &FeatureSet::default()),
-            knn.rank(&kb, "P-01", &FeatureSet::default())
-        );
+        // unknown part / empty features / zero cut-off delegate to the
+        // exact path
+        for (part, q) in [("P-??", fs(&[9999])), ("P-01", FeatureSet::default())] {
+            assert_eq!(
+                knn.rank_sealed_pruned(&kb, &idx, &lsh, part, &q),
+                knn.rank(&kb, &idx, part, &q)
+            );
+        }
+        let none = RankedKnn {
+            top_nodes: 0,
+            measure: SimilarityMeasure::Jaccard,
+        };
+        assert!(none
+            .rank_sealed_pruned(&kb, &idx, &lsh, "P-01", &q)
+            .is_empty());
     }
 
     #[test]
     fn empty_query_or_kb() {
         let knn = RankedKnn::default();
-        assert!(knn
-            .rank(&KnowledgeBase::new(), "P-01", &fs(&[1]))
-            .is_empty());
-        assert!(knn.rank(&kb(), "P-01", &FeatureSet::default()).is_empty());
+        assert!(rank(&knn, &KnowledgeBase::new(), "P-01", &fs(&[1])).is_empty());
+        assert!(rank(&knn, &kb(), "P-01", &FeatureSet::default()).is_empty());
     }
 }

@@ -7,17 +7,18 @@
 //!
 //! * [`interner`] / [`features`] — feature spaces and the three data
 //!   abstraction models;
-//! * [`knowledge`] — the deduplicated knowledge base with part-ID and
-//!   inverted-feature indexes, persisted relationally;
+//! * [`knowledge`] — the deduplicated knowledge base with its part-ID
+//!   index, persisted relationally;
 //! * [`similarity`] — Jaccard and overlap (paper) plus Dice/cosine
 //!   (extensions);
 //! * [`classifier`] — the ranked-list kNN of §4.3;
 //! * [`zoo`] — the pluggable classifier zoo ([`zoo::Classifier`] trait:
 //!   kNN, centroid/Rocchio, multinomial naive Bayes, one-vs-rest logistic
 //!   regression) trained at snapshot seal time;
-//! * [`segment`] / [`lsh`] — the sealed-snapshot index segment:
-//!   delta+varint-compressed posting arena and the minhash/LSH candidate
-//!   prefilter for million-node corpora;
+//! * [`segment`] — the one inverted feature index: a delta+varint-compressed
+//!   posting arena sealed with each snapshot, and the exact kernel's scratch;
+//! * [`lsh`] — a minhash/LSH candidate prefilter for million-node corpora,
+//!   built by the callers of the pruned ranking path;
 //! * [`baselines`] — the code-frequency and candidate-set baselines of §5.1;
 //! * [`eval`] — Accuracy@k and stratified k-fold CV;
 //! * [`pipeline`] — end-to-end experiment orchestration with parallel folds
@@ -66,14 +67,14 @@ pub mod prelude {
         WordExtractor,
     };
     pub use crate::interner::Interner;
-    pub use crate::knowledge::{KnowledgeBase, KnowledgeNode, ScoreScratch};
+    pub use crate::knowledge::{KnowledgeBase, KnowledgeNode};
     pub use crate::lsh::{LshIndex, LshParams};
     pub use crate::pipeline::{
         build_pipeline, run_experiment, AccuracyCurve, ClassifierConfig, ExperimentResult,
     };
     pub use crate::segment::{
         decode_sorted, encode_sorted, read_varint, write_varint, CodecError, PostingArena,
-        SealedIndex,
+        ScoreScratch, SealedIndex,
     };
     pub use crate::similarity::SimilarityMeasure;
     pub use crate::snapshot::{EpochCell, KnowledgeSnapshot, SnapshotBuilder};

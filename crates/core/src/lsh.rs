@@ -29,6 +29,15 @@
 //! The prefilter is approximate by design; callers keep the exact kernel as
 //! the differential oracle (`tests/lsh_recall.rs` asserts ≥ 95 % top-25
 //! recall against it over 256 random queries).
+//!
+//! Snapshot seal does not build one and no serving path reads one: the
+//! pruned ranking ([`crate::classifier::RankedKnn::rank_sealed_pruned`])
+//! takes an index its caller built with [`LshIndex::from_kb`] — today the
+//! scale-tier benchmarks and the recall tests. Whether serving should
+//! switch to it above some knowledge-base size waits on a measured
+//! crossover; at the paper's corpus size the exact kernel is faster.
+
+use crate::knowledge::KnowledgeBase;
 
 /// LSH shape parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +147,15 @@ impl LshIndex {
             }
         }
         idx
+    }
+
+    /// Build with default parameters over a knowledge base's nodes, in node
+    /// order — the node ids the pruned ranking expects.
+    pub fn from_kb(kb: &KnowledgeBase) -> LshIndex {
+        Self::build(
+            kb.nodes().iter().map(|n| n.features.ids()),
+            LshParams::default(),
+        )
     }
 
     /// The index's shape parameters.

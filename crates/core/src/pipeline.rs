@@ -24,6 +24,7 @@ use crate::eval::{stratified_folds, AccuracyCounter, F1Counter, PAPER_KS};
 use crate::features::{FeatureModel, FeatureSet, FeatureSpace};
 use crate::interner::Interner;
 use crate::knowledge::KnowledgeBase;
+use crate::segment::SealedIndex;
 use crate::similarity::SimilarityMeasure;
 use crate::zoo::{Classifier, ClassifierFamily, RankerConfig};
 
@@ -204,8 +205,10 @@ fn run_fold(
         train_pairs.push((b.part_id.as_str(), code));
     }
     let freq_baseline = CodeFrequencyBaseline::train(train_pairs);
-    // the fold's ranker: kNN reproduces the paper kernel bit-for-bit, the
-    // other zoo families train an eager model over the fold's knowledge base
+    // the fold's ranker: kNN reproduces the paper kernel bit-for-bit over
+    // the fold's sealed index, the other zoo families train an eager model
+    // over the fold's knowledge base
+    let index = SealedIndex::build(&kb);
     let ranker = config.ranker().train(&kb);
 
     // --- test phase ---------------------------------------------------------
@@ -240,7 +243,7 @@ fn run_fold(
             features,
         })
         .collect();
-    let rankings = ranker.rank_batch(&kb, None, &queries);
+    let rankings = ranker.rank_batch(&kb, Some(&index), &queries);
 
     let tested = test_set.len();
     for ((i, b, features), ranked) in test_set.iter().zip(&rankings) {

@@ -1,17 +1,16 @@
 //! Sealed immutable index segments: every posting list delta+varint-encoded
 //! into one contiguous byte arena, built once at snapshot seal time.
 //!
-//! The live [`crate::knowledge::KnowledgeBase`] keeps its inverted index as
-//! `HashMap<u32, Vec<usize>>` — ideal for incremental inserts, terrible for
-//! scanning a million-entry posting list: 8 bytes per node index, scattered
-//! allocations, hash probing per feature. At seal time this module lays the
-//! same postings out the way a search engine segment does:
+//! [`SealedIndex`] is the only inverted feature index in the system; the
+//! knowledge base keeps nodes and the part index, and
+//! [`SealedIndex::build`] buckets the postings straight from its nodes. The
+//! arena is laid out the way a search engine segment is:
 //!
-//! * node indexes are sorted ascending (insertion already guarantees it), so
+//! * node indexes are sorted ascending (nodes are visited in order), so
 //!   each list is stored as **deltas** between consecutive ids;
 //! * deltas are **LEB128 varints** — dense lists (hot boilerplate features)
-//!   collapse to ~1 byte per posting, an 8× size cut over the `Vec<usize>`
-//!   representation, which is a memory-bandwidth cut on every query;
+//!   collapse to ~1 byte per posting, an 8× size cut over a `Vec<usize>`
+//!   list, which is a memory-bandwidth cut on every query;
 //! * all lists live in **one `Vec<u8>` arena** indexed by a flat offset
 //!   table, so a query's feature walk is a few contiguous forward scans.
 //!
@@ -28,14 +27,14 @@
 //!   this process encoded itself (wrapping arithmetic, no validation).
 //!
 //! [`SealedIndex`] bundles the arena with per-node metadata (dense part
-//! index, feature-set cardinality) and the [`crate::lsh::LshIndex`]
-//! prefilter, and is rebuilt from the knowledge base on every snapshot seal.
+//! index, feature-set cardinality) and is rebuilt from the knowledge base on
+//! every snapshot seal. It carries no LSH prefilter: callers that want the
+//! pruned path build a [`crate::lsh::LshIndex`] themselves.
 
 use std::fmt;
 
 use crate::features::FeatureSet;
-use crate::knowledge::{KnowledgeBase, ScoreScratch};
-use crate::lsh::LshIndex;
+use crate::knowledge::KnowledgeBase;
 
 /// Decode failure on untrusted input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,11 +271,58 @@ impl PostingArena {
     }
 }
 
-/// The immutable per-snapshot index segment: compressed postings, per-node
-/// metadata, and the minhash/LSH prefilter. Built by [`SealedIndex::build`]
-/// at snapshot seal time; node indexes are identical to the knowledge base's
-/// (no reordering), so rankings computed here tie-break exactly like the
-/// `KnowledgeBase` paths.
+/// Reusable per-thread scratch state for the score-accumulation kernel
+/// ([`SealedIndex::accumulate_into`]). Holds a per-node intersection-count
+/// array plus the list of touched nodes, so a query resets in
+/// O(candidates) rather than O(knowledge base).
+#[derive(Debug, Default, Clone)]
+pub struct ScoreScratch {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl ScoreScratch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Node indexes with at least one hit, in posting order.
+    pub fn touched(&self) -> &[u32] {
+        &self.touched
+    }
+
+    /// Hit count of a touched node.
+    pub fn count(&self, node: u32) -> u32 {
+        self.counts[node as usize]
+    }
+
+    /// Clear for a new query over `n_nodes` nodes.
+    pub(crate) fn begin(&mut self, n_nodes: usize) {
+        if self.counts.len() < n_nodes {
+            self.counts.resize(n_nodes, 0);
+        }
+        for &t in &self.touched {
+            self.counts[t as usize] = 0;
+        }
+        self.touched.clear();
+    }
+
+    /// Register one hit for `node` (first hit records it as touched).
+    #[inline]
+    pub(crate) fn bump(&mut self, node: u32) {
+        let c = &mut self.counts[node as usize];
+        if *c == 0 {
+            self.touched.push(node);
+        }
+        *c += 1;
+    }
+}
+
+/// The immutable per-snapshot index segment: compressed postings and
+/// per-node metadata. Built by [`SealedIndex::build`] at snapshot seal time;
+/// node indexes are identical to the knowledge base's (no reordering), so
+/// rankings computed here tie-break exactly like
+/// [`crate::classifier::RankedKnn::rank_naive`] over the same nodes.
 #[derive(Debug, Default, Clone)]
 pub struct SealedIndex {
     n_nodes: usize,
@@ -284,36 +330,36 @@ pub struct SealedIndex {
     node_parts: Vec<u32>,
     /// Feature-set cardinality per node (the |B| of every similarity score).
     node_lens: Vec<u32>,
-    /// One posting list per feature id in `0..=max_feature_id`.
+    /// One posting list per feature id up to the largest one any node holds.
     postings: PostingArena,
-    lsh: LshIndex,
 }
 
 impl SealedIndex {
-    /// Build the segment from a knowledge base: encode every posting list
-    /// into the arena and index every node into the LSH tables.
+    /// Build the segment from a knowledge base: bucket every node's
+    /// features into per-feature posting lists in one pass over the nodes,
+    /// then encode each list into the arena.
     pub fn build(kb: &KnowledgeBase) -> SealedIndex {
-        let n_nodes = kb.len();
-        let node_parts = kb.node_parts().to_vec();
-        let node_lens: Vec<u32> = kb.nodes().iter().map(|n| n.features.len() as u32).collect();
-        let n_features = kb.max_feature_id().map(|m| m as usize + 1).unwrap_or(0);
-        let mut postings = PostingArena::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for f in 0..n_features {
-            ids.clear();
-            ids.extend(kb.postings_for(f as u32).iter().map(|&n| n as u32));
-            postings.push_list(&ids);
+        let nodes = kb.nodes();
+        let n_features = nodes
+            .iter()
+            .filter_map(|n| n.features.ids().last())
+            .max()
+            .map_or(0, |&m| m as usize + 1);
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n_features];
+        for (i, node) in nodes.iter().enumerate() {
+            for f in node.features.iter() {
+                lists[f as usize].push(i as u32);
+            }
         }
-        let lsh = LshIndex::build(
-            kb.nodes().iter().map(|n| n.features.ids()),
-            Default::default(),
-        );
+        let mut postings = PostingArena::new();
+        for ids in &lists {
+            postings.push_list(ids);
+        }
         SealedIndex {
-            n_nodes,
-            node_parts,
-            node_lens,
+            n_nodes: nodes.len(),
+            node_parts: kb.node_parts().to_vec(),
+            node_lens: nodes.iter().map(|n| n.features.len() as u32).collect(),
             postings,
-            lsh,
         }
     }
 
@@ -325,11 +371,6 @@ impl SealedIndex {
     /// The compressed posting arena.
     pub fn postings(&self) -> &PostingArena {
         &self.postings
-    }
-
-    /// The minhash/LSH prefilter.
-    pub fn lsh(&self) -> &LshIndex {
-        &self.lsh
     }
 
     /// Feature-set cardinality of a node.
@@ -346,10 +387,10 @@ impl SealedIndex {
 
     /// The exact score-accumulation kernel over compressed postings: walks
     /// each query feature's list block-at-a-time and accumulates |A ∩ B| per
-    /// node into `scratch`, applying the same inline part filter as
-    /// [`KnowledgeBase::accumulate_counts`] (`Some(p)`: only part `p`'s
-    /// nodes; `None`: every node). Counts and touched sets are identical to
-    /// the `HashMap` path — only the memory layout differs.
+    /// node into `scratch`, filtering by part inline (`Some(p)`: only part
+    /// `p`'s nodes; `None`: every node). The touched set equals
+    /// [`KnowledgeBase::candidates`] except for the unknown-part
+    /// zero-overlap fallback, which callers apply themselves.
     pub fn accumulate_into(
         &self,
         part: Option<u32>,
@@ -386,29 +427,6 @@ impl SealedIndex {
                 }
             }
         }
-    }
-
-    /// LSH candidate generation: every node sharing at least one band bucket
-    /// with the query lands in `scratch.touched()` (deduplicated), subject
-    /// to the same part filter as the exact kernel. The touched nodes carry
-    /// band-collision counts, NOT intersection counts — callers re-score
-    /// candidates exactly against the query feature set.
-    pub fn lsh_candidates_into(
-        &self,
-        part: Option<u32>,
-        features: &FeatureSet,
-        scratch: &mut ScoreScratch,
-    ) {
-        scratch.begin(self.n_nodes);
-        self.lsh
-            .for_each_candidate(features.ids(), |node| match part {
-                Some(p) => {
-                    if self.node_parts[node as usize] == p {
-                        scratch.bump(node);
-                    }
-                }
-                None => scratch.bump(node),
-            });
     }
 }
 
@@ -540,27 +558,31 @@ mod tests {
             ("P-01", FeatureSet::default()),
         ];
         for (part_id, q) in &queries {
-            let mut a = ScoreScratch::new();
-            kb.accumulate_counts(part_id, q, &mut a);
-            let mut b = ScoreScratch::new();
-            idx.accumulate_into(kb.part_index(part_id), q, &mut b);
-            let mut ta: Vec<u32> = a.touched().to_vec();
-            let mut tb: Vec<u32> = b.touched().to_vec();
-            ta.sort_unstable();
-            tb.sort_unstable();
-            assert_eq!(ta, tb, "touched mismatch for {part_id}");
-            for &n in &ta {
-                assert_eq!(a.count(n), b.count(n), "count mismatch at node {n}");
+            let mut s = ScoreScratch::new();
+            idx.accumulate_into(kb.part_index(part_id), q, &mut s);
+            let mut touched: Vec<usize> = s.touched().iter().map(|&n| n as usize).collect();
+            touched.sort_unstable();
+            assert_eq!(
+                touched,
+                kb.candidates(part_id, q),
+                "touched mismatch for {part_id}"
+            );
+            for &n in s.touched() {
+                let expect = q.intersection_size(&kb.nodes()[n as usize].features);
+                assert_eq!(s.count(n) as usize, expect, "count mismatch at node {n}");
             }
         }
     }
 
     #[test]
-    fn sealed_postings_are_compressed_kb_postings() {
+    fn sealed_postings_list_every_node_of_each_feature() {
         let kb = test_kb();
         let idx = SealedIndex::build(&kb);
-        for f in 0..=kb.max_feature_id().unwrap() {
-            let expect: Vec<u32> = kb.postings_for(f).iter().map(|&n| n as u32).collect();
+        assert_eq!(idx.postings().n_lists(), 10);
+        for f in 0..10u32 {
+            let expect: Vec<u32> = (0..kb.len() as u32)
+                .filter(|&n| kb.nodes()[n as usize].features.contains(f))
+                .collect();
             assert_eq!(
                 idx.postings().decode_list(f as usize),
                 expect,
@@ -578,8 +600,6 @@ mod tests {
         assert_eq!(idx.postings().n_lists(), 0);
         let mut s = ScoreScratch::new();
         idx.accumulate_into(None, &fs(&[1, 2]), &mut s);
-        assert!(s.touched().is_empty());
-        idx.lsh_candidates_into(None, &fs(&[1, 2]), &mut s);
         assert!(s.touched().is_empty());
     }
 }

@@ -55,8 +55,8 @@ pub struct KnowledgeSnapshot {
     /// in the master data before the first case is assigned to them).
     declared: Vec<(String, String)>,
     empty_codes: Arc<[String]>,
-    /// The compressed immutable index segment (posting arena + LSH
-    /// prefilter), rebuilt from the knowledge base on every seal.
+    /// The compressed immutable index segment (the posting arena the kNN
+    /// kernel ranks on), rebuilt from the knowledge base on every seal.
     index: SealedIndex,
     /// The classifier family + measure this snapshot was sealed under.
     ranker_config: RankerConfig,
@@ -72,8 +72,8 @@ impl KnowledgeSnapshot {
         &self.kb
     }
 
-    /// The sealed index segment: delta+varint-compressed posting lists and
-    /// the minhash/LSH candidate prefilter over this snapshot's nodes.
+    /// The sealed index segment: delta+varint-compressed posting lists over
+    /// this snapshot's nodes, the index every kNN ranking reads.
     pub fn index(&self) -> &SealedIndex {
         &self.index
     }

@@ -13,8 +13,9 @@
 //!   pinned snapshot always carries the model trained on its own KB and the
 //!   epoch swap publishes both atomically;
 //! * [`Classifier`] is the `&self` serving interface every family
-//!   implements: rank one query, or a batch, against a knowledge base
-//!   (with an optional sealed index for families that can use it).
+//!   implements: rank one query, or a batch, against a knowledge base and
+//!   its sealed index (kNN ranks on the index; the other families ignore
+//!   it).
 //!
 //! All families share the paper's ranking conventions so the serving layer
 //! is family-agnostic: scores sort descending with a code-text tie-break,
@@ -24,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use crate::classifier::{BatchQuery, RankedKnn, ScoredCode};
+use crate::classifier::{unknown_part_fallback, BatchQuery, RankedKnn, ScoredCode};
 use crate::features::FeatureSet;
 use crate::knowledge::KnowledgeBase;
 use crate::segment::SealedIndex;
@@ -161,9 +162,11 @@ pub trait Classifier: Send + Sync {
     fn family(&self) -> ClassifierFamily;
 
     /// Rank error codes for one query. `index` is the sealed posting-list
-    /// segment of the same knowledge base when the caller has one; families
-    /// that cannot use it simply ignore it — results must not depend on
-    /// whether it is passed.
+    /// segment of the same knowledge base: kNN ranks on it with the exact
+    /// kernel, the other families ignore it. `None` makes kNN fall back to
+    /// the index-free [`RankedKnn::rank_naive`] scan — same results, far
+    /// slower, meant for tests. Results never depend on whether it is
+    /// passed.
     fn rank(
         &self,
         kb: &KnowledgeBase,
@@ -218,16 +221,7 @@ impl Classifier for RankerModel {
         let _span = qatk_trace::child_span("core.rank");
         qatk_trace::annotate("family", self.family().label());
         qatk_trace::annotate("features", features.len() as u64);
-        match self {
-            RankerModel::Knn(knn) => match index {
-                // bit-identical paths (asserted by rank_sealed_matches_rank_everywhere)
-                Some(idx) => knn.rank_sealed(idx, kb, part_id, features),
-                None => knn.rank(kb, part_id, features),
-            },
-            RankerModel::Centroid(model) => model.rank(kb, part_id, features),
-            RankerModel::NaiveBayes(model) => model.rank(kb, part_id, features),
-            RankerModel::Logistic(model) => model.rank(kb, part_id, features),
-        }
+        self.rank_inner(kb, index, part_id, features)
     }
 
     fn rank_batch(
@@ -240,9 +234,9 @@ impl Classifier for RankerModel {
         m.rank_family_total(self.family()).add(queries.len() as u64);
         let _span = qatk_trace::child_span("core.rank_batch");
         qatk_trace::annotate("queries", queries.len() as u64);
-        match self {
+        match (self, index) {
             // the kNN batch path keeps its scoped-worker kernel fan-out
-            RankerModel::Knn(knn) => knn.classify_batch(kb, queries),
+            (RankerModel::Knn(knn), Some(idx)) => knn.classify_batch(kb, idx, queries),
             _ => {
                 let threads = std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -273,8 +267,9 @@ impl Classifier for RankerModel {
 }
 
 impl RankerModel {
-    /// [`Classifier::rank`] without the per-family metrics bump — batch
-    /// workers attribute the whole batch once.
+    /// The one family dispatch behind [`Classifier::rank`] and
+    /// [`Classifier::rank_batch`], without the per-family metrics bump —
+    /// batch workers attribute the whole batch once.
     fn rank_inner(
         &self,
         kb: &KnowledgeBase,
@@ -284,32 +279,14 @@ impl RankerModel {
     ) -> Vec<ScoredCode> {
         match self {
             RankerModel::Knn(knn) => match index {
-                Some(idx) => knn.rank_sealed(idx, kb, part_id, features),
-                None => knn.rank(kb, part_id, features),
+                Some(idx) => knn.rank(kb, idx, part_id, features),
+                None => knn.rank_naive(kb, part_id, features),
             },
             RankerModel::Centroid(model) => model.rank(kb, part_id, features),
             RankerModel::NaiveBayes(model) => model.rank(kb, part_id, features),
             RankerModel::Logistic(model) => model.rank(kb, part_id, features),
         }
     }
-}
-
-/// The paper's unknown-part fallback, shared by every family: "select the
-/// entire knowledge base" — with all scores 0 the node order is simply the
-/// first `top_nodes` nodes, deduplicated to codes. Matches
-/// [`RankedKnn::rank`]'s fallback exactly so families agree on cold parts.
-fn unknown_part_fallback(kb: &KnowledgeBase, top_nodes: usize) -> Vec<ScoredCode> {
-    let mut out: Vec<ScoredCode> = Vec::new();
-    for node in kb.nodes().iter().take(top_nodes) {
-        if !out.iter().any(|s| s.code == node.error_code) {
-            out.push(ScoredCode {
-                code: node.error_code.clone(),
-                score: 0.0,
-            });
-        }
-    }
-    out.sort_by(|a, b| a.code.cmp(&b.code));
-    out
 }
 
 /// Sort per-class scores into the shared ranking order (score desc, code
@@ -743,7 +720,7 @@ mod tests {
         let knn = RankedKnn::default();
         assert_eq!(
             unknown_part_fallback(&kb, 25),
-            knn.rank(&kb, "P-??", &fs(&[777]))
+            knn.rank_naive(&kb, "P-??", &fs(&[777]))
         );
     }
 
@@ -788,6 +765,7 @@ mod tests {
     #[test]
     fn knn_ranker_is_the_existing_kernel() {
         let kb = kb();
+        let idx = SealedIndex::build(&kb);
         let model = train(ClassifierFamily::Knn);
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
         for (part, q) in [
@@ -795,7 +773,11 @@ mod tests {
             ("P-??", fs(&[9])),
             ("P-02", fs(&[1])),
         ] {
-            assert_eq!(model.rank(&kb, None, part, &q), knn.rank(&kb, part, &q));
+            let kernel = knn.rank(&kb, &idx, part, &q);
+            assert_eq!(model.rank(&kb, Some(&idx), part, &q), kernel);
+            // `None` is the index-free oracle scan, with the same results
+            assert_eq!(model.rank(&kb, None, part, &q), kernel);
+            assert_eq!(knn.rank_naive(&kb, part, &q), kernel);
         }
     }
 

@@ -32,6 +32,7 @@ fn pruned_top25_covers_exact_top25() {
     let corpus = ScaleCorpus::generate(ScaleConfig::custom(15_000, 42));
     let kb = build(&corpus);
     let idx = SealedIndex::build(&kb);
+    let lsh = LshIndex::from_kb(&kb);
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
 
     fn top_codes(ranked: &[ScoredCode]) -> Vec<&str> {
@@ -41,8 +42,8 @@ fn pruned_top25_covers_exact_top25() {
     for (part, feats) in corpus.queries(QUERIES, 7) {
         let part = ScaleCorpus::part_name(part);
         let features = FeatureSet::from_unsorted(feats);
-        let exact_ranked = knn.rank_sealed(&idx, &kb, &part, &features);
-        let pruned_ranked = knn.rank_sealed_pruned(&idx, &kb, &part, &features);
+        let exact_ranked = knn.rank(&kb, &idx, &part, &features);
+        let pruned_ranked = knn.rank_sealed_pruned(&kb, &idx, &lsh, &part, &features);
         let exact = top_codes(&exact_ranked);
         let pruned = top_codes(&pruned_ranked);
         assert!(!exact.is_empty(), "query has no exact candidates at all");
@@ -73,12 +74,12 @@ fn lsh_prefilter_actually_prunes() {
     // everything; pin the selectivity side too
     let corpus = ScaleCorpus::generate(ScaleConfig::custom(15_000, 42));
     let kb = build(&corpus);
-    let idx = SealedIndex::build(&kb);
+    let lsh = LshIndex::from_kb(&kb);
     let mut total_candidates = 0usize;
     let queries = corpus.queries(64, 9);
     for (_, feats) in &queries {
         let mut seen = std::collections::HashSet::new();
-        idx.lsh().for_each_candidate(feats, |n| {
+        lsh.for_each_candidate(feats, |n| {
             seen.insert(n);
         });
         total_candidates += seen.len();

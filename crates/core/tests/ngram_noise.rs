@@ -88,6 +88,7 @@ fn noised_outcome(
     pipeline: &Pipeline,
     space: &FrozenFeatureSpace,
     kb: &KnowledgeBase,
+    idx: &SealedIndex,
     model: FeatureModel,
     bundle: &DataBundle,
 ) -> (usize, bool) {
@@ -98,7 +99,7 @@ fn noised_outcome(
     let features = space.extract(&cas, model);
     let truth = bundle.error_code.as_deref().expect("coded bundle");
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-    let ranked = knn.rank(kb, &bundle.part_id, &features);
+    let ranked = knn.rank(kb, idx, &bundle.part_id, &features);
     let hit = ranked.iter().take(TOP_K).any(|s| s.code == truth);
     (features.len(), hit)
 }
@@ -113,6 +114,8 @@ fn char_ngrams_survive_transposition_noise_where_bag_of_words_goes_oov() {
     let ngram_pipeline = build_pipeline(&corpus, ngram_model);
     let (bow_space, bow_kb) = train(&corpus, &bow_pipeline, FeatureModel::BagOfWords);
     let (ngram_space, ngram_kb) = train(&corpus, &ngram_pipeline, ngram_model);
+    let bow_idx = SealedIndex::build(&bow_kb);
+    let ngram_idx = SealedIndex::build(&ngram_kb);
 
     let coded: Vec<&DataBundle> = corpus
         .bundles
@@ -130,11 +133,18 @@ fn char_ngrams_survive_transposition_noise_where_bag_of_words_goes_oov() {
             &bow_pipeline,
             &bow_space,
             &bow_kb,
+            &bow_idx,
             FeatureModel::BagOfWords,
             b,
         );
-        let (ngram_feats, ngram_hit) =
-            noised_outcome(&ngram_pipeline, &ngram_space, &ngram_kb, ngram_model, b);
+        let (ngram_feats, ngram_hit) = noised_outcome(
+            &ngram_pipeline,
+            &ngram_space,
+            &ngram_kb,
+            &ngram_idx,
+            ngram_model,
+            b,
+        );
         bow_hits += bow_hit as usize;
         bow_nonempty += (bow_feats > 0) as usize;
         assert!(

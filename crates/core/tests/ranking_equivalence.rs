@@ -1,7 +1,9 @@
-//! Differential suite: the posting-list score-accumulation kernel behind
-//! [`RankedKnn::rank`] must be indistinguishable from the original
+//! Differential suite: the score-accumulation kernel behind
+//! [`RankedKnn::rank`], walking the sealed posting arena of a
+//! [`SealedIndex`], must be indistinguishable from the original
 //! per-candidate set-intersection path, kept alive as
-//! [`RankedKnn::rank_naive`] exactly to serve as the oracle here.
+//! [`RankedKnn::rank_naive`] exactly to serve as the oracle here (it scans
+//! the knowledge base's nodes and reads no index).
 //!
 //! Every property below generates a random knowledge base and query, runs
 //! both paths, and requires the *same codes in the same order* with scores
@@ -42,7 +44,7 @@ fn query() -> impl Strategy<Value = (u8, Vec<u32>)> {
 }
 
 fn assert_equivalent(knn: &RankedKnn, kb: &KnowledgeBase, part: &str, features: &FeatureSet) {
-    let fast = knn.rank(kb, part, features);
+    let fast = knn.rank(kb, &SealedIndex::build(kb), part, features);
     let naive = knn.rank_naive(kb, part, features);
     assert_eq!(
         fast.len(),
@@ -123,8 +125,8 @@ proptest! {
         check_measure(SimilarityMeasure::Cosine, &nodes, part, &feats, top);
     }
 
-    /// The parallel batch path must agree with sequential `rank` for every
-    /// query, whatever the worker count (including workers > queries and the
+    /// The parallel batch path must agree with the oracle for every query,
+    /// whatever the worker count (including workers > queries and the
     /// sequential single-thread special case).
     #[test]
     fn classify_batch_matches_sequential(
@@ -133,6 +135,7 @@ proptest! {
         threads in 1usize..6,
     ) {
         let kb = build_kb(&nodes);
+        let idx = SealedIndex::build(&kb);
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
         let parts: Vec<String> = queries.iter().map(|(p, _)| format!("P-{p:02}")).collect();
         let feats: Vec<FeatureSet> = queries
@@ -144,10 +147,10 @@ proptest! {
             .zip(&feats)
             .map(|(p, f)| BatchQuery { part_id: p, features: f })
             .collect();
-        let got = knn.classify_batch_with_threads(&kb, &batch, threads);
+        let got = knn.classify_batch_with_threads(&kb, &idx, &batch, threads);
         prop_assert_eq!(got.len(), batch.len());
         for (q, ranked) in batch.iter().zip(&got) {
-            let expected = knn.rank(&kb, q.part_id, q.features);
+            let expected = knn.rank_naive(&kb, q.part_id, q.features);
             prop_assert_eq!(ranked, &expected);
         }
     }

@@ -6,9 +6,13 @@
 //!   arbitrary sorted id lists, and decoding any truncated or garbage
 //!   buffer returns `Err` — never panics, never fabricates ids (the decode
 //!   path runs over untrusted snapshot bytes);
-//! * **ranking**: [`RankedKnn::rank_sealed`] over a [`SealedIndex`] built
-//!   from a random knowledge base is indistinguishable from
-//!   [`RankedKnn::rank`] over the live inverted index — same codes, same
+//! * **index**: a [`SealedIndex`] built from a random knowledge base lists,
+//!   for every feature, exactly the nodes a brute-force scan of
+//!   `kb.nodes()` finds, and its kernel touches exactly the nodes
+//!   [`KnowledgeBase::candidates`] selects (plus the paper's whole-KB
+//!   fallback, which the kernel leaves to its caller);
+//! * **ranking**: [`RankedKnn::rank`] over that index is indistinguishable
+//!   from the index-free [`RankedKnn::rank_naive`] — same codes, same
 //!   order, same scores — across known/unknown parts, empty queries and
 //!   tiny `top_nodes` cut-offs. The LSH-pruned path is held to its subset
 //!   contract: every code it emits carries exactly the score the exact
@@ -88,7 +92,58 @@ proptest! {
     }
 
     #[test]
-    fn sealed_rank_matches_live_rank(
+    fn arena_lists_match_a_scan_of_the_nodes(nodes in vec(node_spec(), 0..24)) {
+        let kb = build_kb(&nodes);
+        let idx = SealedIndex::build(&kb);
+        prop_assert_eq!(idx.n_nodes(), kb.len());
+        let n_features = kb
+            .nodes()
+            .iter()
+            .filter_map(|n| n.features.ids().last())
+            .max()
+            .map_or(0, |&m| m as usize + 1);
+        prop_assert_eq!(idx.postings().n_lists(), n_features);
+        for f in 0..n_features as u32 + 2 {
+            let scan: Vec<u32> = (0..kb.len() as u32)
+                .filter(|&n| kb.nodes()[n as usize].features.contains(f))
+                .collect();
+            prop_assert_eq!(idx.postings().decode_list(f as usize), scan);
+        }
+        for (n, node) in kb.nodes().iter().enumerate() {
+            prop_assert_eq!(idx.node_len(n as u32), node.features.len());
+            prop_assert_eq!(Some(idx.node_part(n as u32)), kb.part_index(&node.part_id));
+        }
+    }
+
+    #[test]
+    fn kernel_touches_exactly_the_candidates(
+        nodes in vec(node_spec(), 0..24),
+        (part, feats) in query(),
+    ) {
+        let kb = build_kb(&nodes);
+        let idx = SealedIndex::build(&kb);
+        let features = FeatureSet::from_unsorted(feats);
+        let part = format!("P-{part:02}");
+        let mut scratch = ScoreScratch::new();
+        idx.accumulate_into(kb.part_index(&part), &features, &mut scratch);
+        let mut touched: Vec<usize> = scratch.touched().iter().map(|&n| n as usize).collect();
+        touched.sort_unstable();
+        for &n in scratch.touched() {
+            prop_assert_eq!(
+                scratch.count(n) as usize,
+                features.intersection_size(&kb.nodes()[n as usize].features)
+            );
+        }
+        if touched.is_empty() && !kb.has_part(&part) {
+            // the paper's fallback: an unknown part sharing nothing anywhere
+            // selects the whole knowledge base
+            touched = (0..kb.len()).collect();
+        }
+        prop_assert_eq!(touched, kb.candidates(&part, &features));
+    }
+
+    #[test]
+    fn sealed_rank_matches_rank_naive(
         nodes in vec(node_spec(), 0..24),
         (part, feats) in query(),
         top in 1usize..8,
@@ -101,10 +156,10 @@ proptest! {
             RankedKnn { top_nodes: top, measure: SimilarityMeasure::Jaccard },
             RankedKnn::new(SimilarityMeasure::Jaccard),
         ] {
-            let live = knn.rank(&kb, &part, &features);
-            let sealed = knn.rank_sealed(&idx, &kb, &part, &features);
-            prop_assert_eq!(live.len(), sealed.len());
-            for (l, s) in live.iter().zip(&sealed) {
+            let naive = knn.rank_naive(&kb, &part, &features);
+            let sealed = knn.rank(&kb, &idx, &part, &features);
+            prop_assert_eq!(naive.len(), sealed.len());
+            for (l, s) in naive.iter().zip(&sealed) {
                 prop_assert_eq!(&l.code, &s.code);
                 prop_assert!((l.score - s.score).abs() <= 1e-12);
             }
@@ -122,11 +177,12 @@ proptest! {
         // selects candidates, it never changes arithmetic
         let kb = build_kb(&nodes);
         let idx = SealedIndex::build(&kb);
+        let lsh = LshIndex::from_kb(&kb);
         let features = FeatureSet::from_unsorted(feats);
         let part = format!("P-{part:02}");
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let exact = knn.rank_sealed(&idx, &kb, &part, &features);
-        let pruned = knn.rank_sealed_pruned(&idx, &kb, &part, &features);
+        let exact = knn.rank(&kb, &idx, &part, &features);
+        let pruned = knn.rank_sealed_pruned(&kb, &idx, &lsh, &part, &features);
         for p in &pruned {
             match exact.iter().find(|e| e.code == p.code) {
                 Some(e) => prop_assert!(

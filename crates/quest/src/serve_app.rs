@@ -532,6 +532,73 @@ mod tests {
     }
 
     #[test]
+    fn punctuation_only_text_is_an_empty_document_on_every_route() {
+        // The tokenizer yields no token for this text. Under the paper's
+        // bag-of-concepts model the annotator must take that as an empty
+        // document, not as a missing tokenizer, on all three text routes.
+        let corpus = Corpus::generate(CorpusConfig::small(31));
+        let svc = RecommendationService::train(
+            &corpus,
+            FeatureModel::BagOfConcepts,
+            SimilarityMeasure::Jaccard,
+        );
+        let app = QuestApp::new(Arc::new(svc), HealthInfo::default());
+        let text = "!!! ... ???";
+        let top = |resp: &Response| {
+            let doc = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            doc.get("top").and_then(Value::as_arr).map(<[Value]>::len)
+        };
+        let known = app.handle(&request(
+            "POST",
+            "/suggest",
+            &format!("{{\"part_id\":\"P-01\",\"text\":\"{text}\"}}"),
+        ));
+        assert_eq!(
+            known.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&known.body)
+        );
+        assert_eq!(
+            top(&known),
+            Some(0),
+            "no feature, no candidate of a known part"
+        );
+        // an unknown part with no feature gets the paper's whole-KB fallback
+        let unknown = app.handle(&request(
+            "POST",
+            "/suggest",
+            &format!("{{\"part_id\":\"P-NEW\",\"text\":\"{text}\"}}"),
+        ));
+        assert_eq!(unknown.status, 200);
+        assert!(top(&unknown).is_some_and(|n| n > 0), "fallback missing");
+        let batch = app.handle(&request(
+            "POST",
+            "/classify_batch",
+            &format!("{{\"texts\":[\"{text}\",\"{text}\"]}}"),
+        ));
+        assert_eq!(
+            batch.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&batch.body)
+        );
+        let before = app.svc.epoch();
+        let learn = app.handle(&request(
+            "POST",
+            "/learn",
+            &format!("{{\"part_id\":\"P-01\",\"text\":\"{text}\",\"code\":\"E-NEW\"}}"),
+        ));
+        assert_eq!(
+            learn.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&learn.body)
+        );
+        assert_eq!(app.svc.epoch(), before + 1);
+    }
+
+    #[test]
     fn learn_publishes_one_epoch_for_the_whole_batch() {
         let app = app();
         let before = app.svc.epoch();

@@ -1,9 +1,7 @@
 //! Databases: named tables plus a shared, lock-guarded handle.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::error::{Result, StoreError};
 use crate::query::Query;
@@ -151,8 +149,10 @@ impl Database {
 /// A cheaply clonable, thread-safe database handle.
 ///
 /// QATK's pipeline stages (corpus loader, knowledge-base builder,
-/// recommendation persister) share one database; `parking_lot::RwLock` keeps
-/// readers concurrent and writers exclusive.
+/// recommendation persister) share one database; a `std::sync::RwLock` keeps
+/// readers concurrent and writers exclusive. Poisoning is recovered
+/// (`PoisonError::into_inner`): a closure that panicked under the lock does
+/// not make every later caller panic too.
 #[derive(Debug, Clone, Default)]
 pub struct SharedDatabase {
     inner: Arc<RwLock<Database>>,
@@ -171,12 +171,12 @@ impl SharedDatabase {
 
     /// Run a closure with shared (read) access.
     pub fn read<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.inner.read())
+        f(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Run a closure with exclusive (write) access.
     pub fn write<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.inner.write())
+        f(&mut self.inner.write().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -255,5 +255,24 @@ mod tests {
             assert!(h.join().unwrap() >= 1);
         }
         assert_eq!(shared.read(|db| db.total_rows()), 8);
+    }
+
+    #[test]
+    fn shared_database_recovers_from_a_poisoned_lock() {
+        let shared = SharedDatabase::new();
+        shared.write(|db| db.create_table("parts", schema()).unwrap());
+        let s = shared.clone();
+        let panicked = std::thread::spawn(move || {
+            s.write(|db| {
+                db.insert("parts", row![1i64, "p1".to_owned()]).unwrap();
+                panic!("writer dies holding the lock");
+            })
+        })
+        .join();
+        assert!(panicked.is_err());
+        // readers and writers after the panic still get the database
+        assert_eq!(shared.read(|db| db.total_rows()), 1);
+        shared.write(|db| db.insert("parts", row![2i64, "p2".to_owned()]).unwrap());
+        assert_eq!(shared.read(|db| db.total_rows()), 2);
     }
 }

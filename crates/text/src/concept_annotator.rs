@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use qatk_taxonomy::concept::{ConceptId, ConceptKind};
+use qatk_taxonomy::normalize::is_separator;
 use qatk_taxonomy::taxonomy::Taxonomy;
 use qatk_taxonomy::trie::TokenTrie;
 
@@ -72,7 +73,10 @@ impl AnalysisEngine for ConceptAnnotator {
                 _ => None,
             })
             .collect();
-        if tokens.is_empty() && !cas.text().trim().is_empty() {
+        // zero tokens are a missing tokenizer only if the text holds
+        // something a tokenizer would have kept; whitespace- or
+        // punctuation-only text is an empty document with no mentions
+        if tokens.is_empty() && !cas.text().chars().all(is_separator) {
             return Err(TextError::MissingPrerequisite {
                 engine: self.name().to_owned(),
                 requires: "Token",
@@ -230,11 +234,14 @@ mod tests {
     #[test]
     fn empty_text_is_fine() {
         let (tax, ..) = taxonomy();
-        let mut cas = Cas::new();
-        cas.add_segment("r", "   ");
-        WhitespaceTokenizer::new().process(&mut cas).unwrap();
-        ConceptAnnotator::new(&tax).process(&mut cas).unwrap();
-        assert_eq!(cas.concept_mentions().count(), 0);
+        for text in ["   ", "!!! ... ???", ""] {
+            let mut cas = Cas::new();
+            cas.add_segment("r", text);
+            WhitespaceTokenizer::new().process(&mut cas).unwrap();
+            assert_eq!(cas.tokens().count(), 0, "{text:?}");
+            ConceptAnnotator::new(&tax).process(&mut cas).unwrap();
+            assert_eq!(cas.concept_mentions().count(), 0, "{text:?}");
+        }
     }
 
     #[test]

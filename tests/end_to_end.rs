@@ -37,13 +37,14 @@ fn corpus_survives_relational_persistence_and_classifies() {
     let kb2 = KnowledgeBase::load_from_db(&kdb).unwrap();
     assert_eq!(kb2.len(), kb.len());
 
-    // classify one bundle with the reloaded KB
+    // classify one bundle with the reloaded KB, sealed into its index
+    let idx = SealedIndex::build(&kb2);
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
     let b = &bundles[0];
     let mut cas = b.to_cas(SourceSelection::Test);
     pipeline.process(&mut cas).unwrap();
     let f = space.extract(&cas, FeatureModel::BagOfConcepts);
-    let ranked = knn.rank(&kb2, &b.part_id, &f);
+    let ranked = knn.rank(&kb2, &idx, &b.part_id, &f);
     assert!(!ranked.is_empty());
 }
 
