@@ -27,7 +27,9 @@
 //! bare rank kernel (no root span live: child-span probes must be free)
 //! and on the serve request path, end to end over loopback HTTP (root
 //! span + children + ring publication, as a client experiences it) —
-//! and fails if either enabled-vs-disabled delta exceeds 3%.
+//! and fails if either enabled-vs-disabled delta exceeds 3%. Overhead
+//! gates are checked after the full result table is printed, and a run
+//! that fails one does not write `--out`.
 //!
 //! Writing `--out FILE` (default `BENCH_PR10.json`) **merges** into an
 //! existing report: fresh entries replace same-named ones in place, new
@@ -163,7 +165,8 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 /// The classic micro-benchmarks; returns the results plus the measured
 /// observability overhead and the two tracing-overhead estimates
-/// (rank kernel, serve request path).
+/// (rank kernel, serve request path). The overhead limits are checked by
+/// the caller, after printing ([`overhead_gate_failures`]).
 fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
     eprintln!("preparing corpus and knowledge base (seed {seed}) ...");
     let corpus = Corpus::generate(CorpusConfig::small(seed));
@@ -355,11 +358,6 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
     eprintln!("measuring observability overhead on classify_batch ...");
     let obs_overhead_pct = measure_obs_overhead(&knn, &kb, &idx, &queries);
     eprintln!("observability overhead: {obs_overhead_pct:+.2}% (limit {MAX_OBS_OVERHEAD_PCT}%)");
-    if obs_overhead_pct > MAX_OBS_OVERHEAD_PCT {
-        return Err(format!(
-            "observability overhead {obs_overhead_pct:.2}% exceeds {MAX_OBS_OVERHEAD_PCT}% on classify_batch"
-        ));
-    }
 
     eprintln!("measuring tracing overhead on the rank kernel (no root span) ...");
     let trace_rank_pct = measure_trace_overhead(|| {
@@ -399,14 +397,27 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
     });
     trace_server.shutdown();
     eprintln!("tracing overhead (serve): {trace_serve_pct:+.2}% (limit {MAX_TRACE_OVERHEAD_PCT}%)");
-    for (what, pct) in [("rank", trace_rank_pct), ("serve", trace_serve_pct)] {
+    Ok((benches, obs_overhead_pct, trace_rank_pct, trace_serve_pct))
+}
+
+/// The overhead gates a classic run failed, one message each. Checked only
+/// after the run's results are printed, so a failing gate never hides the
+/// measurements that tripped it.
+fn overhead_gate_failures(obs: f64, trace_rank: f64, trace_serve: f64) -> Vec<String> {
+    let mut failures = Vec::new();
+    if obs > MAX_OBS_OVERHEAD_PCT {
+        failures.push(format!(
+            "observability overhead {obs:.2}% exceeds {MAX_OBS_OVERHEAD_PCT}% on classify_batch"
+        ));
+    }
+    for (what, pct) in [("rank", trace_rank), ("serve", trace_serve)] {
         if pct > MAX_TRACE_OVERHEAD_PCT {
-            return Err(format!(
+            failures.push(format!(
                 "tracing overhead {pct:.2}% exceeds {MAX_TRACE_OVERHEAD_PCT}% on the {what} path"
             ));
         }
     }
-    Ok((benches, obs_overhead_pct, trace_rank_pct, trace_serve_pct))
+    failures
 }
 
 /// The replication catch-up benchmark (DESIGN.md §13): a leader holds
@@ -669,6 +680,17 @@ fn run() -> Result<(), String> {
             "{:18} median {:>12} ns  p95 {:>12} ns  {:>14.1} items/s",
             b.bench, b.median_ns, b.p95_ns, b.throughput
         );
+    }
+    if let Some((obs, trace_rank, trace_serve)) = fresh_overheads {
+        println!(
+            "obs overhead {obs:+.2}%  trace overhead rank {trace_rank:+.2}%  serve {trace_serve:+.2}%"
+        );
+        // a failed gate leaves --out untouched: a noisy run never becomes
+        // the baseline
+        let failures = overhead_gate_failures(obs, trace_rank, trace_serve);
+        if !failures.is_empty() {
+            return Err(failures.join("; "));
+        }
     }
 
     // merge over an existing report so the classic and scale tiers

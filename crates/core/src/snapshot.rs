@@ -23,9 +23,11 @@
 //!
 //! Snapshots persist relationally with the epoch as part of the key
 //! ([`KnowledgeSnapshot::save_to_db`] / [`KnowledgeSnapshot::load_latest`]),
-//! so a restarted service resumes from the newest published epoch.
+//! so a restarted service resumes from the newest published epoch. The
+//! layout is append-only: an epoch saved on top of its parent writes only
+//! the rows past the parent's.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use qatk_store::prelude::*;
@@ -64,6 +66,10 @@ pub struct KnowledgeSnapshot {
     /// base, so a snapshot swap atomically swaps the model with the data.
     ranker: RankerModel,
     epoch: u64,
+    /// The epoch this snapshot was copied from, if it was
+    /// ([`SnapshotBuilder::from_snapshot`]): persistence writes only the
+    /// rows past it when the store's newest epoch is that parent.
+    parent: Option<ParentMark>,
 }
 
 impl KnowledgeSnapshot {
@@ -195,6 +201,7 @@ pub struct SnapshotBuilder {
     ranker: RankerConfig,
     declared: Vec<(String, String)>,
     epoch: u64,
+    parent: Option<ParentMark>,
 }
 
 impl SnapshotBuilder {
@@ -208,6 +215,7 @@ impl SnapshotBuilder {
             ranker: RankerConfig::default(),
             declared: Vec::new(),
             epoch: 0,
+            parent: None,
         }
     }
 
@@ -230,6 +238,12 @@ impl SnapshotBuilder {
             ranker: snapshot.ranker_config,
             declared: snapshot.declared.clone(),
             epoch: snapshot.epoch + 1,
+            parent: Some(ParentMark {
+                epoch: snapshot.epoch,
+                nodes: snapshot.kb.len(),
+                vocab: snapshot.vocab.vocabulary_size(),
+                codes: snapshot.declared.len(),
+            }),
         }
     }
 
@@ -304,6 +318,7 @@ impl SnapshotBuilder {
             ranker_config: self.ranker,
             ranker,
             epoch: self.epoch,
+            parent: self.parent,
         }
     }
 }
@@ -347,26 +362,154 @@ impl<T> EpochCell<T> {
 }
 
 // --- versioned relational persistence ------------------------------------
+//
+// The layout is append-only (DESIGN.md §8.3). Knowledge nodes, vocabulary
+// ids and declared codes only ever grow along a chain of epochs, so each
+// data row is keyed by the epoch that wrote it plus its ord
+// (`e{epoch}#{ord}`), and epoch `e` loads, for each ord, the row with the
+// largest writer epoch at or below `e`. An epoch persisted on top of its
+// parent therefore writes only the ords past the parent's counts, plus its
+// meta row as the commit record.
+
+/// The epoch a snapshot was copied from and that epoch's row counts: where
+/// the snapshot's delta starts when it is persisted on top of it.
+#[derive(Debug, Clone, Copy)]
+struct ParentMark {
+    epoch: u64,
+    nodes: usize,
+    vocab: usize,
+    codes: usize,
+}
+
+/// The one writer behind both store handles: [`Database`] applies rows in
+/// place, [`LoggedDatabase`] group-commits each batch through the WAL.
+trait RowSink {
+    fn db(&self) -> &Database;
+    fn insert_many(&mut self, table: &str, rows: Vec<Row>) -> StoreResult<()>;
+    fn delete_many(&mut self, table: &str, pks: Vec<Value>) -> StoreResult<()>;
+}
+
+impl RowSink for Database {
+    fn db(&self) -> &Database {
+        self
+    }
+
+    fn insert_many(&mut self, table: &str, rows: Vec<Row>) -> StoreResult<()> {
+        for row in rows {
+            self.insert(table, row)?;
+        }
+        Ok(())
+    }
+
+    fn delete_many(&mut self, table: &str, pks: Vec<Value>) -> StoreResult<()> {
+        for pk in &pks {
+            self.delete(table, pk)?;
+        }
+        Ok(())
+    }
+}
+
+impl RowSink for LoggedDatabase {
+    fn db(&self) -> &Database {
+        LoggedDatabase::db(self)
+    }
+
+    fn insert_many(&mut self, table: &str, rows: Vec<Row>) -> StoreResult<()> {
+        LoggedDatabase::insert_many(self, table, rows).map(drop)
+    }
+
+    fn delete_many(&mut self, table: &str, pks: Vec<Value>) -> StoreResult<()> {
+        LoggedDatabase::delete_many(self, table, pks).map(drop)
+    }
+}
+
+/// A retained epoch and its row count in one data table (declared codes
+/// carry none).
+type Retained = (u64, Option<usize>);
+
+/// The epoch that wrote a row: the meta table's primary key, the data
+/// tables' second column.
+fn writer_epoch(table: &str, row: &Row) -> Option<i64> {
+    let col = if table == KnowledgeSnapshot::TABLE_META {
+        0
+    } else {
+        1
+    };
+    row.get(col).and_then(Value::as_int)
+}
+
+fn primary_key(row: &Row) -> Value {
+    row.get(0).cloned().unwrap_or(Value::Null)
+}
+
+/// What `epoch` sees of a data table: for each ord, the row with the
+/// largest writer epoch at or below `epoch`, with that writer epoch.
+fn visible(t: &Table, epoch: u64) -> BTreeMap<i64, (i64, &Row)> {
+    let mut best: BTreeMap<i64, (i64, &Row)> = BTreeMap::new();
+    for row in t.scan() {
+        let (Some(w), Some(ord)) = (
+            row.get(1).and_then(Value::as_int),
+            row.get(2).and_then(Value::as_int),
+        ) else {
+            continue;
+        };
+        if (0..=epoch as i64).contains(&w) && best.get(&ord).is_none_or(|&(b, _)| b < w) {
+            best.insert(ord, (w, row));
+        }
+    }
+    best
+}
 
 impl KnowledgeSnapshot {
-    /// Epoch registry: one row per persisted snapshot.
+    /// Epoch registry: one row per persisted snapshot, its commit record.
     pub const TABLE_META: &'static str = "snapshot_meta";
-    /// Knowledge nodes, keyed by epoch + insertion order.
+    /// Knowledge nodes, keyed by writer epoch + insertion order.
     pub const TABLE_NODES: &'static str = "snapshot_nodes";
-    /// Vocabulary tokens, keyed by epoch + interner id.
+    /// Vocabulary tokens, keyed by writer epoch + interner id.
     pub const TABLE_VOCAB: &'static str = "snapshot_vocab";
-    /// Declared (part, code) pairs, keyed by epoch + declaration order.
+    /// Declared (part, code) pairs, keyed by writer epoch + declaration
+    /// order.
     pub const TABLE_CODES: &'static str = "snapshot_codes";
 
-    fn meta_schema() -> StoreResult<Schema> {
-        SchemaBuilder::new()
-            .pk("epoch", DataType::Int)
-            .col("model", DataType::Text)
-            .col("classifier", DataType::Text)
-            .col("measure", DataType::Text)
-            .col("nodes", DataType::Int)
-            .col("vocab", DataType::Int)
-            .build()
+    /// The four tables, meta first: deletes retire an epoch's commit record
+    /// before its rows.
+    const TABLES: [&'static str; 4] = [
+        Self::TABLE_META,
+        Self::TABLE_NODES,
+        Self::TABLE_VOCAB,
+        Self::TABLE_CODES,
+    ];
+
+    fn table_schema(table: &str) -> StoreResult<Schema> {
+        let b = SchemaBuilder::new();
+        let b = match table {
+            Self::TABLE_META => b
+                .pk("epoch", DataType::Int)
+                .col("model", DataType::Text)
+                .col("classifier", DataType::Text)
+                .col("measure", DataType::Text)
+                .col("nodes", DataType::Int)
+                .col("vocab", DataType::Int),
+            Self::TABLE_NODES => b
+                .pk("id", DataType::Text)
+                .col("epoch", DataType::Int)
+                .col("ord", DataType::Int)
+                .col("part_id", DataType::Text)
+                .col("error_code", DataType::Text)
+                .col("features", DataType::Blob),
+            Self::TABLE_VOCAB => b
+                .pk("id", DataType::Text)
+                .col("epoch", DataType::Int)
+                .col("ord", DataType::Int)
+                .col("token", DataType::Text),
+            _ => b
+                .pk("id", DataType::Text)
+                .col("epoch", DataType::Int)
+                .col("ord", DataType::Int)
+                .col("part_id", DataType::Text)
+                .col("error_code", DataType::Text),
+        };
+        b.build()
     }
 
     fn ensure_tables(db: &mut Database) -> StoreResult<()> {
@@ -394,7 +537,7 @@ impl KnowledgeSnapshot {
                 })
                 .collect();
             db.drop_table(Self::TABLE_META)?;
-            db.create_table(Self::TABLE_META, Self::meta_schema()?)?;
+            db.create_table(Self::TABLE_META, Self::table_schema(Self::TABLE_META)?)?;
             for (epoch, model, nodes, vocab) in legacy {
                 db.insert(
                     Self::TABLE_META,
@@ -409,130 +552,21 @@ impl KnowledgeSnapshot {
                 )?;
             }
         }
-        if !db.has_table(Self::TABLE_META) {
-            db.create_table(Self::TABLE_META, Self::meta_schema()?)?;
-        }
-        if !db.has_table(Self::TABLE_NODES) {
-            let schema = SchemaBuilder::new()
-                .pk("id", DataType::Text)
-                .col("epoch", DataType::Int)
-                .col("ord", DataType::Int)
-                .col("part_id", DataType::Text)
-                .col("error_code", DataType::Text)
-                .col("features", DataType::Blob)
-                .build()?;
-            db.create_table(Self::TABLE_NODES, schema)?;
-            db.table_mut(Self::TABLE_NODES)?.create_index(
-                "sn_by_epoch",
-                "epoch",
-                IndexKind::Hash,
-            )?;
-        }
-        if !db.has_table(Self::TABLE_VOCAB) {
-            let schema = SchemaBuilder::new()
-                .pk("id", DataType::Text)
-                .col("epoch", DataType::Int)
-                .col("ord", DataType::Int)
-                .col("token", DataType::Text)
-                .build()?;
-            db.create_table(Self::TABLE_VOCAB, schema)?;
-            db.table_mut(Self::TABLE_VOCAB)?.create_index(
-                "sv_by_epoch",
-                "epoch",
-                IndexKind::Hash,
-            )?;
-        }
-        if !db.has_table(Self::TABLE_CODES) {
-            let schema = SchemaBuilder::new()
-                .pk("id", DataType::Text)
-                .col("epoch", DataType::Int)
-                .col("ord", DataType::Int)
-                .col("part_id", DataType::Text)
-                .col("error_code", DataType::Text)
-                .build()?;
-            db.create_table(Self::TABLE_CODES, schema)?;
+        for table in Self::TABLES {
+            if !db.has_table(table) {
+                db.create_table(table, Self::table_schema(table)?)?;
+            }
         }
         Ok(())
     }
 
-    /// Delete every row of `table` whose `epoch` column matches `epoch`.
-    fn delete_epoch_rows(db: &mut Database, table: &str, epoch: u64) -> StoreResult<usize> {
-        let pks: Vec<Value> = {
-            let t = db.table(table)?;
-            Query::new()
-                .filter(Cond::eq(t, "epoch", epoch as i64)?)
-                .run(t)?
-                .into_iter()
-                .filter_map(|r| r.get(0).cloned())
-                .collect()
-        };
-        let n = pks.len();
-        for pk in &pks {
-            db.delete(table, pk)?;
-        }
-        Ok(n)
-    }
-
-    /// Persist this snapshot under its epoch. Earlier epochs are left in
-    /// place (versioned history); re-saving the same epoch overwrites it.
+    /// Persist this snapshot under its epoch: a delta on top of its parent
+    /// when the store's newest epoch is that parent, the whole epoch
+    /// otherwise (see [`Self::save_to_logged`]). Older epochs stay loadable
+    /// (versioned history); re-saving the same epoch overwrites it.
     pub fn save_to_db(&self, db: &mut Database) -> StoreResult<()> {
         Self::ensure_tables(db)?;
-        for table in [
-            Self::TABLE_META,
-            Self::TABLE_NODES,
-            Self::TABLE_VOCAB,
-            Self::TABLE_CODES,
-        ] {
-            Self::delete_epoch_rows(db, table, self.epoch)?;
-        }
-        let e = self.epoch as i64;
-        db.insert(
-            Self::TABLE_META,
-            row![
-                e,
-                self.model.label(),
-                self.ranker_config.family.label(),
-                self.ranker_config.measure.label(),
-                self.kb.len() as i64,
-                self.vocab.vocabulary_size() as i64
-            ],
-        )?;
-        for (i, node) in self.kb.nodes().iter().enumerate() {
-            let mut blob = Vec::with_capacity(node.features.len() * 4);
-            for f in node.features.iter() {
-                blob.extend_from_slice(&f.to_le_bytes());
-            }
-            db.insert(
-                Self::TABLE_NODES,
-                row![
-                    format!("e{}#{}", self.epoch, i),
-                    e,
-                    i as i64,
-                    node.part_id.clone(),
-                    node.error_code.clone(),
-                    blob
-                ],
-            )?;
-        }
-        for (i, token) in self.vocab.tokens().enumerate() {
-            db.insert(
-                Self::TABLE_VOCAB,
-                row![format!("v{}#{}", self.epoch, i), e, i as i64, token],
-            )?;
-        }
-        for (i, (part, code)) in self.declared.iter().enumerate() {
-            db.insert(
-                Self::TABLE_CODES,
-                row![
-                    format!("c{}#{}", self.epoch, i),
-                    e,
-                    i as i64,
-                    part.clone(),
-                    code.clone()
-                ],
-            )?;
-        }
-        Ok(())
+        self.persist(db)
     }
 
     /// The newest persisted epoch, if any snapshot was ever saved.
@@ -565,18 +599,55 @@ impl KnowledgeSnapshot {
         }
     }
 
+    /// The committed meta row of `epoch`, if there is one.
+    fn meta_row(db: &Database, epoch: u64) -> StoreResult<Option<Row>> {
+        let t = db.table(Self::TABLE_META)?;
+        Ok(t.get(&Value::Int(epoch as i64)).cloned())
+    }
+
+    /// The node and vocabulary counts a meta row commits.
+    fn meta_counts(db: &Database, meta: &Row) -> StoreResult<(usize, usize)> {
+        let schema = db.table(Self::TABLE_META)?.schema();
+        let count = |name: &str| {
+            meta.get_named(schema, name)
+                .and_then(Value::as_int)
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| {
+                    StoreError::Corrupt(format!("snapshot meta row has no valid `{name}` count"))
+                })
+        };
+        Ok((count("nodes")?, count("vocab")?))
+    }
+
+    /// The rows `epoch` loads from a data table, in ord order: the visible
+    /// row of every ord below `count`. Declared codes carry no count in the
+    /// meta row, so with `None` every visible ord counts. A missing ord is
+    /// corruption, never a silently shorter epoch.
+    fn visible_rows(t: &Table, epoch: u64, count: Option<usize>) -> StoreResult<Vec<&Row>> {
+        let visible = visible(t, epoch);
+        let n = count.unwrap_or(visible.len());
+        (0..n)
+            .map(|ord| {
+                visible
+                    .get(&(ord as i64))
+                    .map(|&(_, row)| row)
+                    .ok_or_else(|| {
+                        StoreError::Corrupt(format!(
+                            "snapshot epoch {epoch}: table `{}` has no row for ord {ord}",
+                            t.name()
+                        ))
+                    })
+            })
+            .collect()
+    }
+
     /// Load one specific persisted epoch.
     pub fn load_epoch(
         db: &Database,
         pipeline: Arc<Pipeline>,
         epoch: u64,
     ) -> StoreResult<KnowledgeSnapshot> {
-        let e = epoch as i64;
-        let meta_table = db.table(Self::TABLE_META)?;
-        let meta = Query::new()
-            .filter(Cond::eq(meta_table, "epoch", e)?)
-            .run(meta_table)?;
-        let meta = meta.first().ok_or_else(|| {
+        let meta = Self::meta_row(db, epoch)?.ok_or_else(|| {
             StoreError::Corrupt(format!("snapshot epoch {epoch} not found in meta table"))
         })?;
         let label = meta.get(1).and_then(Value::as_text).unwrap_or_default();
@@ -594,58 +665,34 @@ impl KnowledgeSnapshot {
             ))
         })?;
         let ranker_config = RankerConfig::new(family, measure);
+        let (node_count, vocab_count) = Self::meta_counts(db, &meta)?;
 
-        let vocab_table = db.table(Self::TABLE_VOCAB)?;
-        let tokens: Vec<String> = Query::new()
-            .filter(Cond::eq(vocab_table, "epoch", e)?)
-            .order_by("ord", SortOrder::Asc)
-            .run(vocab_table)?
+        let text = |r: &Row, col: usize| {
+            r.get(col)
+                .and_then(Value::as_text)
+                .unwrap_or_default()
+                .to_owned()
+        };
+        let tokens = Self::visible_rows(db.table(Self::TABLE_VOCAB)?, epoch, Some(vocab_count))?
             .into_iter()
-            .map(|r| {
-                r.get(3)
-                    .and_then(Value::as_text)
-                    .unwrap_or_default()
-                    .to_owned()
-            })
-            .collect();
+            .map(|r| text(r, 3));
         let vocab = FrozenFeatureSpace::from_tokens(tokens);
 
-        let nodes_table = db.table(Self::TABLE_NODES)?;
         let mut kb = KnowledgeBase::new();
-        for r in Query::new()
-            .filter(Cond::eq(nodes_table, "epoch", e)?)
-            .order_by("ord", SortOrder::Asc)
-            .run(nodes_table)?
-        {
-            let part = r.get(3).and_then(Value::as_text).unwrap_or_default();
-            let code = r.get(4).and_then(Value::as_text).unwrap_or_default();
+        for r in Self::visible_rows(db.table(Self::TABLE_NODES)?, epoch, Some(node_count))? {
             let blob = r.get(5).and_then(Value::as_blob).unwrap_or_default();
             let ids: Vec<u32> = blob
                 .chunks_exact(4)
                 .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
                 .collect();
-            kb.insert(part, code, FeatureSet::from_unsorted(ids));
+            kb.insert(text(r, 3), text(r, 4), FeatureSet::from_unsorted(ids));
         }
 
-        let codes_table = db.table(Self::TABLE_CODES)?;
-        let declared: Vec<(String, String)> = Query::new()
-            .filter(Cond::eq(codes_table, "epoch", e)?)
-            .order_by("ord", SortOrder::Asc)
-            .run(codes_table)?
-            .into_iter()
-            .map(|r| {
-                (
-                    r.get(3)
-                        .and_then(Value::as_text)
-                        .unwrap_or_default()
-                        .to_owned(),
-                    r.get(4)
-                        .and_then(Value::as_text)
-                        .unwrap_or_default()
-                        .to_owned(),
-                )
-            })
-            .collect();
+        let declared: Vec<(String, String)> =
+            Self::visible_rows(db.table(Self::TABLE_CODES)?, epoch, None)?
+                .into_iter()
+                .map(|r| (text(r, 3), text(r, 4)))
+                .collect();
 
         let codes_by_part = compute_codes_by_part(&kb, &declared);
         let index = SealedIndex::build(&kb);
@@ -662,46 +709,24 @@ impl KnowledgeSnapshot {
             ranker_config,
             ranker,
             epoch,
+            parent: None,
         })
     }
 
-    /// Drop every persisted epoch strictly below `keep_from` from all four
-    /// snapshot tables. Returns the number of rows removed.
+    /// Drop every persisted epoch strictly below `keep_from`: their meta
+    /// rows, and every data row no epoch at or above `keep_from` loads — a
+    /// row shadowed by a newer row of its ord written at or below
+    /// `keep_from`, or one written below `keep_from` past every retained
+    /// epoch's count. Returns the number of rows removed.
     pub fn prune_epochs_below(db: &mut Database, keep_from: u64) -> StoreResult<usize> {
-        let mut removed = 0;
-        for table in [
-            Self::TABLE_META,
-            Self::TABLE_NODES,
-            Self::TABLE_VOCAB,
-            Self::TABLE_CODES,
-        ] {
-            if !db.has_table(table) {
-                continue;
-            }
-            let pks: Vec<Value> = {
-                let t = db.table(table)?;
-                Query::new()
-                    .filter(Cond::lt(t, "epoch", keep_from as i64)?)
-                    .run(t)?
-                    .into_iter()
-                    .filter_map(|r| r.get(0).cloned())
-                    .collect()
-            };
-            for pk in &pks {
-                db.delete(table, pk)?;
-            }
-            removed += pks.len();
-        }
-        Ok(removed)
+        Self::prune(db, keep_from)
     }
 
     /// Create the snapshot tables through a [`LoggedDatabase`]. DDL is not
     /// WAL-logged, so a replicating leader must call this *before* its boot
     /// checkpoint: the checkpoint bakes the schemas into the snapshot file,
     /// and every follower (and crash recovery) replays logged row DML against
-    /// tables the snapshot already holds. Secondary epoch indexes are skipped
-    /// on this path — they are an in-memory query accelerator, not state, and
-    /// the logged handle deliberately exposes no index DDL.
+    /// tables the snapshot already holds.
     ///
     /// Returns `true` if any table was created (the caller should
     /// checkpoint). Pre-zoo four-column meta tables cannot be migrated
@@ -718,152 +743,32 @@ impl KnowledgeSnapshot {
             )));
         }
         let mut created = false;
-        if !store.has_table(Self::TABLE_META) {
-            store.create_table(Self::TABLE_META, Self::meta_schema()?)?;
-            created = true;
-        }
-        if !store.has_table(Self::TABLE_NODES) {
-            let schema = SchemaBuilder::new()
-                .pk("id", DataType::Text)
-                .col("epoch", DataType::Int)
-                .col("ord", DataType::Int)
-                .col("part_id", DataType::Text)
-                .col("error_code", DataType::Text)
-                .col("features", DataType::Blob)
-                .build()?;
-            store.create_table(Self::TABLE_NODES, schema)?;
-            created = true;
-        }
-        if !store.has_table(Self::TABLE_VOCAB) {
-            let schema = SchemaBuilder::new()
-                .pk("id", DataType::Text)
-                .col("epoch", DataType::Int)
-                .col("ord", DataType::Int)
-                .col("token", DataType::Text)
-                .build()?;
-            store.create_table(Self::TABLE_VOCAB, schema)?;
-            created = true;
-        }
-        if !store.has_table(Self::TABLE_CODES) {
-            let schema = SchemaBuilder::new()
-                .pk("id", DataType::Text)
-                .col("epoch", DataType::Int)
-                .col("ord", DataType::Int)
-                .col("part_id", DataType::Text)
-                .col("error_code", DataType::Text)
-                .build()?;
-            store.create_table(Self::TABLE_CODES, schema)?;
-            created = true;
+        for table in Self::TABLES {
+            if !store.has_table(table) {
+                store.create_table(table, Self::table_schema(table)?)?;
+                created = true;
+            }
         }
         Ok(created)
     }
 
-    /// Like [`Self::delete_epoch_rows`], but routed through the WAL so the
-    /// deletes ship to followers.
-    fn delete_epoch_rows_logged(
-        store: &mut LoggedDatabase,
-        table: &str,
-        epoch: u64,
-    ) -> StoreResult<usize> {
-        let pks: Vec<Value> = {
-            let t = store.db().table(table)?;
-            Query::new()
-                .filter(Cond::eq(t, "epoch", epoch as i64)?)
-                .run(t)?
-                .into_iter()
-                .filter_map(|r| r.get(0).cloned())
-                .collect()
-        };
-        let n = pks.len();
-        for pk in &pks {
-            store.delete(table, pk)?;
-        }
-        Ok(n)
-    }
-
     /// Persist this snapshot through a [`LoggedDatabase`]: every row insert
-    /// and delete goes through the WAL, so a replicating leader's followers
-    /// receive the published epoch as ordinary log records and crash
-    /// recovery replays it. Same overwrite semantics as
-    /// [`Self::save_to_db`]; tables must already exist (call
-    /// [`Self::ensure_replicated_tables`] + checkpoint at boot first).
+    /// and delete goes through the WAL, one group-committed batch per table,
+    /// so a replicating leader's followers receive the published epoch as
+    /// ordinary log records and crash recovery replays it. An epoch whose
+    /// parent is the store's newest epoch writes only its new nodes,
+    /// vocabulary and codes plus its meta row; anything else is written in
+    /// full. Same semantics as [`Self::save_to_db`]; tables must already
+    /// exist (call [`Self::ensure_replicated_tables`] + checkpoint at boot
+    /// first).
     pub fn save_to_logged(&self, store: &mut LoggedDatabase) -> StoreResult<()> {
-        for table in [
-            Self::TABLE_META,
-            Self::TABLE_NODES,
-            Self::TABLE_VOCAB,
-            Self::TABLE_CODES,
-        ] {
-            if !store.has_table(table) {
-                return Err(StoreError::Corrupt(format!(
-                    "snapshot table `{table}` missing; call \
-                     ensure_replicated_tables and checkpoint before saving"
-                )));
-            }
-            Self::delete_epoch_rows_logged(store, table, self.epoch)?;
+        if let Some(table) = Self::TABLES.into_iter().find(|t| !store.has_table(t)) {
+            return Err(StoreError::Corrupt(format!(
+                "snapshot table `{table}` missing; call \
+                 ensure_replicated_tables and checkpoint before saving"
+            )));
         }
-        let e = self.epoch as i64;
-        let mut node_rows = Vec::with_capacity(self.kb.len());
-        for (i, node) in self.kb.nodes().iter().enumerate() {
-            let mut blob = Vec::with_capacity(node.features.len() * 4);
-            for f in node.features.iter() {
-                blob.extend_from_slice(&f.to_le_bytes());
-            }
-            node_rows.push(row![
-                format!("e{}#{}", self.epoch, i),
-                e,
-                i as i64,
-                node.part_id.clone(),
-                node.error_code.clone(),
-                blob
-            ]);
-        }
-        if !node_rows.is_empty() {
-            store.insert_many(Self::TABLE_NODES, node_rows)?;
-        }
-        let vocab_rows: Vec<Row> = self
-            .vocab
-            .tokens()
-            .enumerate()
-            .map(|(i, token)| row![format!("v{}#{}", self.epoch, i), e, i as i64, token])
-            .collect();
-        if !vocab_rows.is_empty() {
-            store.insert_many(Self::TABLE_VOCAB, vocab_rows)?;
-        }
-        let code_rows: Vec<Row> = self
-            .declared
-            .iter()
-            .enumerate()
-            .map(|(i, (part, code))| {
-                row![
-                    format!("c{}#{}", self.epoch, i),
-                    e,
-                    i as i64,
-                    part.clone(),
-                    code.clone()
-                ]
-            })
-            .collect();
-        if !code_rows.is_empty() {
-            store.insert_many(Self::TABLE_CODES, code_rows)?;
-        }
-        // The meta row goes LAST: it is the epoch's commit record. A replica
-        // replaying this log mid-stream sees `latest_epoch` flip to this
-        // epoch only once every node/vocab/code row is already applied
-        // (deletes above un-commit a re-save first), so it can never load a
-        // partially shipped epoch.
-        store.insert(
-            Self::TABLE_META,
-            row![
-                e,
-                self.model.label(),
-                self.ranker_config.family.label(),
-                self.ranker_config.measure.label(),
-                self.kb.len() as i64,
-                self.vocab.vocabulary_size() as i64
-            ],
-        )?;
-        Ok(())
+        self.persist(store)
     }
 
     /// [`Self::prune_epochs_below`] routed through the WAL: the leader's
@@ -872,31 +777,234 @@ impl KnowledgeSnapshot {
         store: &mut LoggedDatabase,
         keep_from: u64,
     ) -> StoreResult<usize> {
-        let mut removed = 0;
-        for table in [
-            Self::TABLE_META,
-            Self::TABLE_NODES,
-            Self::TABLE_VOCAB,
-            Self::TABLE_CODES,
-        ] {
-            if !store.has_table(table) {
-                continue;
-            }
-            let pks: Vec<Value> = {
-                let t = store.db().table(table)?;
-                Query::new()
-                    .filter(Cond::lt(t, "epoch", keep_from as i64)?)
-                    .run(t)?
-                    .into_iter()
-                    .filter_map(|r| r.get(0).cloned())
-                    .collect()
-            };
-            for pk in &pks {
-                store.delete(table, pk)?;
-            }
-            removed += pks.len();
+        Self::prune(store, keep_from)
+    }
+
+    /// The parent this snapshot persists on top of as a delta: its
+    /// [`ParentMark`], when the store's newest committed epoch is that
+    /// parent.
+    ///
+    /// A store has a single writer — the process publishing one chain of
+    /// epochs — and that writer commits each epoch either in full or as a
+    /// delta on the newest committed epoch. So when the newest meta row has
+    /// the parent's epoch and node and vocabulary counts, and that epoch
+    /// sees exactly the parent's number of declared codes, the rows it
+    /// loads are the parent's, and only the ords past them need writing.
+    /// Everything else is written in full: a snapshot built from scratch or
+    /// loaded from a store (no parent), a re-save of a committed epoch, a
+    /// child whose parent was never persisted, a snapshot of another chain.
+    fn delta_base(&self, db: &Database) -> StoreResult<Option<ParentMark>> {
+        let Some(parent) = self.parent else {
+            return Ok(None);
+        };
+        if Self::latest_epoch(db)? != Some(parent.epoch) {
+            return Ok(None);
         }
+        let Some(meta) = Self::meta_row(db, parent.epoch)? else {
+            return Ok(None);
+        };
+        let same = Self::meta_counts(db, &meta)? == (parent.nodes, parent.vocab)
+            && visible(db.table(Self::TABLE_CODES)?, parent.epoch).len() == parent.codes;
+        Ok(same.then_some(parent))
+    }
+
+    /// The lowest epoch a full write of this snapshot retires. Every epoch
+    /// at or above its own goes: a newer one may load rows the write
+    /// replaces. Older epochs stay, unless one wrote a declared code past
+    /// this snapshot's count: with no code count in the meta row, this
+    /// epoch would load that row as its own, so the floor drops to its
+    /// writer.
+    fn full_write_floor(&self, db: &Database) -> StoreResult<u64> {
+        let codes = self.declared.len() as i64;
+        Ok(db
+            .table(Self::TABLE_CODES)?
+            .scan()
+            .filter(|r| {
+                r.get(2)
+                    .and_then(Value::as_int)
+                    .is_some_and(|ord| ord >= codes)
+            })
+            .filter_map(|r| r.get(1).and_then(Value::as_int))
+            .map(|w| u64::try_from(w).unwrap_or(0))
+            .fold(self.epoch, u64::min))
+    }
+
+    /// The one writer behind [`Self::save_to_db`] and
+    /// [`Self::save_to_logged`]. First retire every epoch at or above the
+    /// floor — its meta row first, so no reader sees it committed without
+    /// its rows — then insert the new rows one batch per table, then the
+    /// meta row last: it is the epoch's commit record.
+    fn persist<S: RowSink>(&self, sink: &mut S) -> StoreResult<()> {
+        let _span = qatk_trace::child_span("snapshot.persist");
+        let db = sink.db();
+        let base = self.delta_base(db)?;
+        // A delta still clears rows at its own epoch or above: a write
+        // that never reached its meta row may have left some.
+        let floor = match base {
+            Some(_) => self.epoch,
+            None => self.full_write_floor(db)?,
+        };
+        let mut retire = Vec::with_capacity(Self::TABLES.len());
+        for table in Self::TABLES {
+            let pks: Vec<Value> = db
+                .table(table)?
+                .scan()
+                .filter(|r| writer_epoch(table, r).is_some_and(|w| w >= floor as i64))
+                .map(primary_key)
+                .collect();
+            retire.push((table, pks));
+        }
+
+        let (nodes_from, vocab_from, codes_from) =
+            base.map_or((0, 0, 0), |p| (p.nodes, p.vocab, p.codes));
+        let e = self.epoch as i64;
+        let node_rows: Vec<Row> = self.kb.nodes()[nodes_from..]
+            .iter()
+            .zip(nodes_from..)
+            .map(|(node, i)| {
+                let mut blob = Vec::with_capacity(node.features.len() * 4);
+                for f in node.features.iter() {
+                    blob.extend_from_slice(&f.to_le_bytes());
+                }
+                row![
+                    format!("e{}#{i}", self.epoch),
+                    e,
+                    i as i64,
+                    node.part_id.clone(),
+                    node.error_code.clone(),
+                    blob
+                ]
+            })
+            .collect();
+        let vocab_rows: Vec<Row> = self
+            .vocab
+            .tokens()
+            .enumerate()
+            .skip(vocab_from)
+            .map(|(i, token)| row![format!("v{}#{i}", self.epoch), e, i as i64, token])
+            .collect();
+        let code_rows: Vec<Row> = self.declared[codes_from..]
+            .iter()
+            .zip(codes_from..)
+            .map(|((part, code), i)| {
+                row![
+                    format!("c{}#{i}", self.epoch),
+                    e,
+                    i as i64,
+                    part.clone(),
+                    code.clone()
+                ]
+            })
+            .collect();
+        let meta_row = row![
+            e,
+            self.model.label(),
+            self.ranker_config.family.label(),
+            self.ranker_config.measure.label(),
+            self.kb.len() as i64,
+            self.vocab.vocabulary_size() as i64
+        ];
+
+        let mut deleted = 0;
+        for (table, pks) in retire {
+            if !pks.is_empty() {
+                deleted += pks.len();
+                sink.delete_many(table, pks)?;
+            }
+        }
+        let mut written = 0;
+        for (table, rows) in [
+            (Self::TABLE_NODES, node_rows),
+            (Self::TABLE_VOCAB, vocab_rows),
+            (Self::TABLE_CODES, code_rows),
+            // The meta row goes LAST: a replica replaying this log sees
+            // `latest_epoch` flip to this epoch only once every row it
+            // loads is applied, so it never loads a partial epoch.
+            (Self::TABLE_META, vec![meta_row]),
+        ] {
+            if !rows.is_empty() {
+                written += rows.len();
+                sink.insert_many(table, rows)?;
+            }
+        }
+        qatk_trace::annotate("write", if base.is_some() { "delta" } else { "full" });
+        qatk_trace::annotate("rows_written", written as u64);
+        qatk_trace::annotate("rows_deleted", deleted as u64);
+        Ok(())
+    }
+
+    /// The one pruner behind [`Self::prune_epochs_below`] and
+    /// [`Self::prune_epochs_below_logged`]: retired meta rows first, then
+    /// the dead data rows, one batch per table.
+    fn prune<S: RowSink>(sink: &mut S, keep_from: u64) -> StoreResult<usize> {
+        let _span = qatk_trace::child_span("snapshot.prune");
+        let db = sink.db();
+        let mut doomed = Vec::with_capacity(Self::TABLES.len());
+        if db.has_table(Self::TABLE_META) {
+            let (mut retired, mut retained) = (Vec::new(), Vec::new());
+            for meta in db.table(Self::TABLE_META)?.scan() {
+                match writer_epoch(Self::TABLE_META, meta) {
+                    Some(w) if w < keep_from as i64 => retired.push(primary_key(meta)),
+                    Some(w) => retained.push((w as u64, Self::meta_counts(db, meta)?)),
+                    None => {}
+                }
+            }
+            doomed.push((Self::TABLE_META, retired));
+            let nodes: Vec<Retained> = retained.iter().map(|&(e, (n, _))| (e, Some(n))).collect();
+            let vocab: Vec<Retained> = retained.iter().map(|&(e, (_, v))| (e, Some(v))).collect();
+            let codes: Vec<Retained> = retained.iter().map(|&(e, _)| (e, None)).collect();
+            for (table, retained) in [
+                (Self::TABLE_NODES, nodes),
+                (Self::TABLE_VOCAB, vocab),
+                (Self::TABLE_CODES, codes),
+            ] {
+                if db.has_table(table) {
+                    doomed.push((
+                        table,
+                        Self::dead_rows(db.table(table)?, keep_from, &retained),
+                    ));
+                }
+            }
+        }
+        let mut removed = 0;
+        for (table, pks) in doomed {
+            if !pks.is_empty() {
+                removed += pks.len();
+                sink.delete_many(table, pks)?;
+            }
+        }
+        qatk_trace::annotate("rows_deleted", removed as u64);
         Ok(removed)
+    }
+
+    /// The rows of a data table written below `keep_from` that no retained
+    /// epoch loads. In steady state there are none: a row a newer one of
+    /// its ord shadows exists only after a full write.
+    fn dead_rows(t: &Table, keep_from: u64, retained: &[Retained]) -> Vec<Value> {
+        // Delta-written tables hold one row per ord and none past the
+        // newest count: nothing to scan for.
+        let newest = retained.iter().filter_map(|&(_, n)| n).max();
+        if newest.is_some_and(|n| t.len() <= n) {
+            return Vec::new();
+        }
+        let mut live: HashSet<&Value> = HashSet::new();
+        for &(epoch, count) in retained {
+            live.extend(
+                visible(t, epoch)
+                    .into_iter()
+                    .filter(|&(ord, _)| count.is_none_or(|n| ord < n as i64))
+                    .filter_map(|(_, (_, row))| row.get(0)),
+            );
+        }
+        t.scan()
+            .filter(|r| {
+                r.get(1)
+                    .and_then(Value::as_int)
+                    .is_some_and(|w| w < keep_from as i64)
+            })
+            .filter(|r| r.get(0).is_some_and(|pk| !live.contains(pk)))
+            .map(primary_key)
+            .collect()
     }
 }
 

@@ -829,20 +829,50 @@ impl LoggedDatabase {
     /// are staged and logged together: either every row is acknowledged or
     /// none is applied.
     pub fn insert_many(&mut self, table: &str, rows: Vec<Row>) -> Result<Vec<Value>> {
-        if self.db.in_transaction() {
-            return Err(StoreError::TransactionActive);
-        }
-        self.db.txn = Some(Vec::new());
-        let mut pks = Vec::with_capacity(rows.len());
-        let mut records = Vec::with_capacity(rows.len());
-        for row in rows {
+        self.staged_batch(rows, |db, row| {
             let record = WalRecord::Insert {
                 table: table.to_owned(),
                 row: row.clone(),
             };
-            match self.db.insert(table, row) {
-                Ok(pk) => {
-                    pks.push(pk);
+            Ok((db.insert(table, row)?, record))
+        })
+    }
+
+    /// Delete a batch of rows by primary key with one group-committed WAL
+    /// append — the mirror of [`Self::insert_many`]: either every delete is
+    /// acknowledged or none is applied. Returns the deleted rows.
+    pub fn delete_many(&mut self, table: &str, pks: Vec<Value>) -> Result<Vec<Row>> {
+        self.staged_batch(pks, |db, pk| {
+            let row = db.delete(table, &pk)?;
+            Ok((
+                row,
+                WalRecord::Delete {
+                    table: table.to_owned(),
+                    pk,
+                },
+            ))
+        })
+    }
+
+    /// Stage every item with `apply` (which returns its result and its log
+    /// record), then make all records durable with one `append_batch`. Any
+    /// failure — a rejected item or a failed append — undoes the whole
+    /// staging, so nothing of the batch survives in the database or the log.
+    fn staged_batch<I, T>(
+        &mut self,
+        items: Vec<I>,
+        mut apply: impl FnMut(&mut Database, I) -> Result<(T, WalRecord)>,
+    ) -> Result<Vec<T>> {
+        if self.db.in_transaction() {
+            return Err(StoreError::TransactionActive);
+        }
+        self.db.txn = Some(Vec::new());
+        let mut out = Vec::with_capacity(items.len());
+        let mut records = Vec::with_capacity(items.len());
+        for item in items {
+            match apply(&mut self.db, item) {
+                Ok((value, record)) => {
+                    out.push(value);
                     records.push(record);
                 }
                 Err(e) => {
@@ -856,7 +886,7 @@ impl LoggedDatabase {
             return Err(e);
         }
         self.db.txn = None;
-        Ok(pks)
+        Ok(out)
     }
 
     pub fn update(&mut self, table: &str, pk: &Value, row: Row) -> Result<()> {
@@ -1213,6 +1243,69 @@ mod tests {
         drop(logged);
         assert_eq!(read_log(&wal).unwrap().len(), 2);
         std::fs::remove_file(&wal).ok();
+    }
+
+    #[test]
+    fn delete_many_is_all_or_nothing() {
+        let wal = tmp("delmany");
+        let mut logged = LoggedDatabase::new(schema_db(), &wal).unwrap();
+        logged
+            .insert_many("t", vec![row![1i64, "a"], row![2i64, "b"], row![3i64, "c"]])
+            .unwrap();
+        // the second pk is unknown → the first delete is rolled back too,
+        // and nothing reaches the log
+        let err = logged.delete_many("t", vec![Value::Int(1), Value::Int(9)]);
+        assert!(matches!(err, Err(StoreError::NoSuchKey { .. })), "{err:?}");
+        assert_eq!(logged.db().total_rows(), 3);
+        assert!(logged.db().get("t", &Value::Int(1)).unwrap().is_some());
+        let deleted = logged
+            .delete_many("t", vec![Value::Int(1), Value::Int(3)])
+            .unwrap();
+        assert_eq!(deleted, vec![row![1i64, "a"], row![3i64, "c"]]);
+        drop(logged);
+        // one insert batch of 3 + one delete batch of 2; the rejected batch
+        // left no record
+        let records = read_log(&wal).unwrap();
+        assert_eq!(records.len(), 5);
+        assert!(records[3..]
+            .iter()
+            .all(|r| matches!(r, WalRecord::Delete { .. })));
+        std::fs::remove_file(&wal).ok();
+    }
+
+    #[test]
+    fn delete_many_replays_after_a_crash() {
+        let dir = std::env::temp_dir().join(format!("qatk_wal_delmany_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (snap, wal) = (dir.join("snap.qdb"), dir.join("wal.log"));
+        {
+            let (mut logged, _) = LoggedDatabase::open(&snap, &wal, SyncPolicy::OsOnly).unwrap();
+            logged
+                .create_table(
+                    "t",
+                    SchemaBuilder::new()
+                        .pk("id", DataType::Int)
+                        .col("name", DataType::Text)
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+            logged.checkpoint().unwrap();
+            logged
+                .insert_many("t", vec![row![1i64, "a"], row![2i64, "b"], row![3i64, "c"]])
+                .unwrap();
+            logged
+                .delete_many("t", vec![Value::Int(2), Value::Int(3)])
+                .unwrap();
+            // crash: drop without checkpointing
+        }
+        let (logged, report) = LoggedDatabase::open(&snap, &wal, SyncPolicy::OsOnly).unwrap();
+        assert_eq!(report.records_replayed, 5);
+        assert_eq!(logged.db().total_rows(), 1);
+        assert!(logged.db().get("t", &Value::Int(1)).unwrap().is_some());
+        assert!(logged.db().get("t", &Value::Int(2)).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
